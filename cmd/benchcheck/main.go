@@ -15,43 +15,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+
+	"packetmill/internal/benchfile"
 )
-
-type datapathEntry struct {
-	Name         string  `json:"name"`
-	PpsPerCore   float64 `json:"pps_per_core"`
-	GbpsPerCore  float64 `json:"gbps_per_core"`
-	Packets      int     `json:"packets"`
-	AllocsPerPkt float64 `json:"allocs_per_packet"`
-}
-
-type benchEntry struct {
-	ID     string  `json:"id"`
-	WallMS float64 `json:"wall_ms"`
-	Allocs uint64  `json:"allocs"`
-}
-
-type benchFile struct {
-	Scale    float64         `json:"scale"`
-	Datapath []datapathEntry `json:"datapath"`
-	Exhibits []benchEntry    `json:"exhibits"`
-}
-
-func load(path string) (*benchFile, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f benchFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &f, nil
-}
 
 func main() {
 	var (
@@ -62,18 +31,18 @@ func main() {
 	)
 	flag.Parse()
 
-	base, err := load(*basePath)
+	base, err := benchfile.Load(*basePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcheck:", err)
 		os.Exit(1)
 	}
-	fresh, err := load(*freshPath)
+	fresh, err := benchfile.Load(*freshPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcheck:", err)
 		os.Exit(1)
 	}
 
-	freshDP := map[string]datapathEntry{}
+	freshDP := map[string]benchfile.Datapath{}
 	for _, e := range fresh.Datapath {
 		freshDP[e.Name] = e
 	}
@@ -118,7 +87,7 @@ func main() {
 	}
 
 	// Wall-clock trajectory: informational only.
-	freshEx := map[string]benchEntry{}
+	freshEx := map[string]benchfile.Exhibit{}
 	for _, e := range fresh.Exhibits {
 		freshEx[e.ID] = e
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"packetmill/internal/benchfile"
 	"packetmill/internal/click"
 	"packetmill/internal/core"
 	"packetmill/internal/nf"
@@ -12,26 +13,11 @@ import (
 	"packetmill/internal/trafficgen"
 )
 
-// datapathEntry is one canonical forwarding loop's row in the bench
-// baseline. PpsPerCore and GbpsPerCore come from simulated time, so they
-// are exactly reproducible across machines — a regression means the
-// performance model changed, not that CI drew a slow runner.
-// AllocsPerPacket is the whole run's heap allocations (setup included)
-// over the frames offered; setup amortizes to a deterministic constant,
-// so any per-packet growth is a real allocation creeping in.
-type datapathEntry struct {
-	Name         string  `json:"name"`
-	PpsPerCore   float64 `json:"pps_per_core"`
-	GbpsPerCore  float64 `json:"gbps_per_core"`
-	Packets      int     `json:"packets"`
-	AllocsPerPkt float64 `json:"allocs_per_packet"`
-}
-
 // datapathBench measures the canonical datapaths the regression gate
 // tracks: the plain mirror under both metadata models, the milled
 // router, and the mirror with the overload control plane armed (the
 // control plane must stay free when the core is healthy).
-func datapathBench() ([]datapathEntry, error) {
+func datapathBench() ([]benchfile.Datapath, error) {
 	const packets = 50000
 	cases := []struct {
 		name     string
@@ -73,7 +59,7 @@ func datapathBench() ([]datapathEntry, error) {
 		{name: "mirror-xchange-2core", config: nf.Mirror(0, 32), model: click.XChange, cores: 2},
 		{name: "mirror-xchange-4core", config: nf.Mirror(0, 32), model: click.XChange, cores: 4},
 	}
-	var out []datapathEntry
+	var out []benchfile.Datapath
 	for _, c := range cases {
 		p, err := core.Parse(c.config)
 		if err != nil {
@@ -118,7 +104,7 @@ func datapathBench() ([]datapathEntry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench %s: %w", c.name, err)
 		}
-		out = append(out, datapathEntry{
+		out = append(out, benchfile.Datapath{
 			Name:         c.name,
 			PpsPerCore:   res.Mpps() * 1e6 / float64(cores),
 			GbpsPerCore:  res.Gbps() / float64(cores),

@@ -18,27 +18,9 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"packetmill/internal/benchfile"
 	"packetmill/internal/exp"
 )
-
-// benchEntry is one exhibit's row in the -bench baseline file. Allocs is
-// the heap-allocation count for the whole exhibit (per-packet steady-state
-// allocations are separately gated to zero by the testbed's AllocsPerRun
-// test — this counter tracks the setup-and-sweep total over time).
-type benchEntry struct {
-	ID        string  `json:"id"`
-	WallMS    float64 `json:"wall_ms"`
-	Allocs    uint64  `json:"allocs"`
-	AllocsMiB float64 `json:"allocs_mib"`
-}
-
-type benchFile struct {
-	Scale    float64         `json:"scale"`
-	Parallel int             `json:"parallel"`
-	TotalMS  float64         `json:"total_ms"`
-	Datapath []datapathEntry `json:"datapath"`
-	Exhibits []benchEntry    `json:"exhibits"`
-}
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -96,7 +78,7 @@ func main() {
 		}
 	}
 
-	bench := benchFile{Scale: *scale, Parallel: *parallel}
+	bench := benchfile.File{Scale: *scale, Parallel: *parallel}
 	totalStart := time.Now()
 	for _, e := range todo {
 		start := time.Now()
@@ -110,7 +92,7 @@ func main() {
 		if *benchOut != "" {
 			var memAfter runtime.MemStats
 			runtime.ReadMemStats(&memAfter)
-			bench.Exhibits = append(bench.Exhibits, benchEntry{
+			bench.Exhibits = append(bench.Exhibits, benchfile.Exhibit{
 				ID:        e.ID,
 				WallMS:    float64(wall.Microseconds()) / 1e3,
 				Allocs:    memAfter.Mallocs - memBefore.Mallocs,

@@ -301,7 +301,7 @@ func main() {
 				fatal(err)
 			}
 			fmt.Printf("%.1f\t%.1f\t%.2f\t%.1f\t%.1f\n", f, res.Gbps(), res.Mpps(),
-				stats.MicrosFromNS(res.Latency.Median()), stats.MicrosFromNS(res.Latency.P99()))
+				stats.MicrosFromNS(res.Latency.Quantile(0.5)), stats.MicrosFromNS(res.Latency.Quantile(0.99)))
 		}
 		return
 	}
@@ -623,8 +623,8 @@ func loadConfig(path, builtin string) (string, error) {
 func report(res *testbed.Result) {
 	fmt.Printf("throughput:     %.2f Gbps (%.3f Mpps)\n", res.Gbps(), res.Mpps())
 	fmt.Printf("latency:        median %.1f µs, p99 %.1f µs, max %.1f µs\n",
-		stats.MicrosFromNS(res.Latency.Median()),
-		stats.MicrosFromNS(res.Latency.P99()),
+		stats.MicrosFromNS(res.Latency.Quantile(0.5)),
+		stats.MicrosFromNS(res.Latency.Quantile(0.99)),
 		stats.MicrosFromNS(res.Latency.Max()))
 	fmt.Printf("offered/lost:   %d offered, %d on wire, %d dropped\n",
 		res.Offered, res.TxWire, res.Dropped)

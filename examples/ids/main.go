@@ -64,6 +64,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%.1f\t%.1f\t%.1f\t%.1f\t%.1f\n", f,
-			v.Gbps(), m.Gbps(), v.Latency.Median()/1e3, m.Latency.Median()/1e3)
+			v.Gbps(), m.Gbps(), v.Latency.Quantile(0.5)/1e3, m.Latency.Quantile(0.5)/1e3)
 	}
 }

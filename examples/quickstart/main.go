@@ -55,10 +55,10 @@ func main() {
 
 	fmt.Printf("\n%-12s %10s %12s %10s\n", "build", "Gbps", "Mpps", "p99 µs")
 	fmt.Printf("%-12s %10.1f %12.2f %10.1f\n", "vanilla",
-		vres.Gbps(), vres.Mpps(), vres.Latency.P99()/1e3)
+		vres.Gbps(), vres.Mpps(), vres.Latency.Quantile(0.99)/1e3)
 	fmt.Printf("%-12s %10.1f %12.2f %10.1f\n", "packetmill",
-		mres.Gbps(), mres.Mpps(), mres.Latency.P99()/1e3)
+		mres.Gbps(), mres.Mpps(), mres.Latency.Quantile(0.99)/1e3)
 	fmt.Printf("\nimprovement: %+.1f%% throughput, %+.1f%% p99 latency\n",
 		(mres.Gbps()-vres.Gbps())/vres.Gbps()*100,
-		(mres.Latency.P99()-vres.Latency.P99())/vres.Latency.P99()*100)
+		(mres.Latency.Quantile(0.99)-vres.Latency.Quantile(0.99))/vres.Latency.Quantile(0.99)*100)
 }

@@ -46,7 +46,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%.0f\t%.1f\t%.1f\t%.1f\t%.1f\n",
-			load, v.Gbps(), v.Latency.P99()/1e3, m.Gbps(), m.Latency.P99()/1e3)
+			load, v.Gbps(), v.Latency.Quantile(0.99)/1e3, m.Gbps(), m.Latency.Quantile(0.99)/1e3)
 	}
 	fmt.Println("\nPacketMill shifts the knee right: more throughput before latency explodes.")
 }

@@ -97,7 +97,7 @@ func ablReorder(scale float64) *Plan {
 			if err != nil {
 				panic(fmt.Sprintf("abl-reorder %s: %v", name, err))
 			}
-			u.Add(name, f1(res.Gbps()), f1(res.Latency.Median()/1e3))
+			u.Add(name, f1(res.Gbps()), f1(res.Latency.Quantile(0.5)/1e3))
 		})
 	}
 	byCount := layout.ByAccessCount
@@ -125,7 +125,7 @@ func ablBurst(scale float64) *Plan {
 			if err != nil {
 				panic(fmt.Sprintf("abl-burst %d: %v", burst, err))
 			}
-			u.Add(fmt.Sprint(burst), f1(res.Gbps()), f1(res.Latency.P99()/1e3))
+			u.Add(fmt.Sprint(burst), f1(res.Gbps()), f1(res.Latency.Quantile(0.99)/1e3))
 		})
 	}
 	return p

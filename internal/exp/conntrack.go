@@ -193,7 +193,7 @@ func conntrackExhibit(scale float64) *Plan {
 			tableDrops := res.DropsByReason.Get(stats.DropFlowTableFull) +
 				res.DropsByReason.Get(stats.DropFlowTableNoPort) +
 				res.DropsByReason.Get(stats.DropFlowTableInvalid)
-			u.AddTo(1, sc.name, f1(res.Gbps()), f2(res.Latency.P99()/1e3),
+			u.AddTo(1, sc.name, f1(res.Gbps()), f2(res.Latency.Quantile(0.99)/1e3),
 				fmt.Sprint(ct.FlowTableEntries), fmt.Sprint(ct.Capacity),
 				fmt.Sprint(ct.Insertions), fmt.Sprint(ct.Expirations),
 				fmt.Sprint(ct.Evictions["embryonic"]), fmt.Sprint(ct.Evictions["established"]),

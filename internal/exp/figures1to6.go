@@ -54,9 +54,9 @@ func fig1(scale float64) *Plan {
 				// p99 stays in column 3 (the shape checks read it by
 				// index); the tail column rides behind it.
 				u.Add(variant, f1(load), f1(res.Gbps()),
-					f1(stats.MicrosFromNS(res.Latency.P99())),
-					f1(stats.MicrosFromNS(res.Latency.Median())),
-					f1(stats.MicrosFromNS(res.Latency.Percentile(99.9))))
+					f1(stats.MicrosFromNS(res.Latency.Quantile(0.99))),
+					f1(stats.MicrosFromNS(res.Latency.Quantile(0.5))),
+					f1(stats.MicrosFromNS(res.Latency.Quantile(0.999))))
 			})
 		}
 	}
@@ -110,9 +110,9 @@ func fig4(scale float64) *Plan {
 				if err != nil {
 					panic(fmt.Sprintf("fig4 %s@%v: %v", v.name, f, err))
 				}
-				u.Add(v.name, f1(f), f1(res.Gbps()), f1(stats.MicrosFromNS(res.Latency.Median())))
+				u.Add(v.name, f1(f), f1(res.Gbps()), f1(stats.MicrosFromNS(res.Latency.Quantile(0.5))))
 				thr[vi][fi] = res.Gbps()
-				lat[vi][fi] = stats.MicrosFromNS(res.Latency.Median())
+				lat[vi][fi] = stats.MicrosFromNS(res.Latency.Quantile(0.5))
 			})
 		}
 	}

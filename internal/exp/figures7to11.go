@@ -96,7 +96,7 @@ func fig8(scale float64) *Plan {
 				if err != nil {
 					panic(fmt.Sprintf("fig8 %s@%v: %v", variant, f, err))
 				}
-				u.Add(variant, f1(f), f1(res.Gbps()), f1(stats.MicrosFromNS(res.Latency.Median())))
+				u.Add(variant, f1(f), f1(res.Gbps()), f1(stats.MicrosFromNS(res.Latency.Quantile(0.5))))
 			})
 		}
 	}

@@ -1,154 +1,10 @@
-// Package stats provides the measurement side of the testbed: latency
-// recorders with exact percentiles (reservoir-sampled beyond a bound),
-// throughput computation, and small helpers for reporting in the units
-// the paper uses (Gbps, Mpps, µs).
+// Package stats provides the measurement side of the testbed:
+// throughput computation, the drop taxonomy, curve fits, and small
+// helpers for reporting in the units the paper uses (Gbps, Mpps, µs).
+// Latency distributions live in trace.Hist.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"packetmill/internal/simrand"
-)
-
-// LatencyRecorder accumulates per-packet latencies in nanoseconds.
-// Up to maxExact samples are kept exactly; past that it switches to
-// uniform reservoir sampling (Vitter's algorithm R), which keeps
-// percentile estimates unbiased on arbitrarily long runs.
-type LatencyRecorder struct {
-	samples  []float64
-	maxExact int
-	seen     uint64
-	rng      *simrand.Rand
-	sum      float64
-	min, max float64
-	sorted   bool
-}
-
-// NewLatencyRecorder returns a recorder bounded at maxExact retained
-// samples (0 means a 1M default).
-func NewLatencyRecorder(maxExact int) *LatencyRecorder {
-	if maxExact <= 0 {
-		maxExact = 1 << 20
-	}
-	return &LatencyRecorder{
-		maxExact: maxExact,
-		rng:      simrand.New(0x1a7e4c),
-		min:      math.Inf(1),
-		max:      math.Inf(-1),
-	}
-}
-
-// Record adds one latency sample (ns).
-func (r *LatencyRecorder) Record(ns float64) {
-	r.seen++
-	r.sum += ns
-	if ns < r.min {
-		r.min = ns
-	}
-	if ns > r.max {
-		r.max = ns
-	}
-	r.sorted = false
-	if len(r.samples) < r.maxExact {
-		r.samples = append(r.samples, ns)
-		return
-	}
-	// Reservoir: replace a random element with probability maxExact/seen.
-	if j := r.rng.Uint64n(r.seen); j < uint64(r.maxExact) {
-		r.samples[j] = ns
-	}
-}
-
-// Count returns the number of recorded samples (including sampled-out ones).
-func (r *LatencyRecorder) Count() uint64 { return r.seen }
-
-// Mean returns the exact mean over all recorded samples.
-func (r *LatencyRecorder) Mean() float64 {
-	if r.seen == 0 {
-		return 0
-	}
-	return r.sum / float64(r.seen)
-}
-
-// Min and Max are exact over all samples.
-func (r *LatencyRecorder) Min() float64 {
-	if r.seen == 0 {
-		return 0
-	}
-	return r.min
-}
-
-// Max returns the largest recorded sample.
-func (r *LatencyRecorder) Max() float64 {
-	if r.seen == 0 {
-		return 0
-	}
-	return r.max
-}
-
-// Percentile returns the p-th percentile (0 < p ≤ 100) using linear
-// interpolation between closest ranks.
-func (r *LatencyRecorder) Percentile(p float64) float64 {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	if !r.sorted {
-		sort.Float64s(r.samples)
-		r.sorted = true
-	}
-	if p <= 0 {
-		return r.samples[0]
-	}
-	if p >= 100 {
-		return r.samples[len(r.samples)-1]
-	}
-	rank := p / 100 * float64(len(r.samples)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(r.samples) {
-		return r.samples[lo]
-	}
-	return r.samples[lo]*(1-frac) + r.samples[lo+1]*frac
-}
-
-// Median is the 50th percentile.
-func (r *LatencyRecorder) Median() float64 { return r.Percentile(50) }
-
-// P99 is the 99th percentile (the paper's tail-latency metric).
-func (r *LatencyRecorder) P99() float64 { return r.Percentile(99) }
-
-// Summary is the distribution digest reports embed, in the recorder's
-// native nanoseconds.
-type Summary struct {
-	Count                               uint64
-	Min, Mean, P50, P90, P99, P999, Max float64
-}
-
-// Summarize digests the recorded distribution.
-func (r *LatencyRecorder) Summarize() Summary {
-	return Summary{
-		Count: r.seen,
-		Min:   r.Min(),
-		Mean:  r.Mean(),
-		P50:   r.Percentile(50),
-		P90:   r.Percentile(90),
-		P99:   r.Percentile(99),
-		P999:  r.Percentile(99.9),
-		Max:   r.Max(),
-	}
-}
-
-// Reset clears the recorder.
-func (r *LatencyRecorder) Reset() {
-	r.samples = r.samples[:0]
-	r.seen = 0
-	r.sum = 0
-	r.min = math.Inf(1)
-	r.max = math.Inf(-1)
-	r.sorted = false
-}
+import "fmt"
 
 // Throughput summarizes a measured run.
 type Throughput struct {

@@ -5,89 +5,6 @@ import (
 	"testing"
 )
 
-func TestPercentilesExactSmall(t *testing.T) {
-	r := NewLatencyRecorder(100)
-	for i := 1; i <= 100; i++ {
-		r.Record(float64(i))
-	}
-	if m := r.Median(); math.Abs(m-50.5) > 0.01 {
-		t.Fatalf("median = %v", m)
-	}
-	if p := r.P99(); p < 99 || p > 100 {
-		t.Fatalf("p99 = %v", p)
-	}
-	if r.Min() != 1 || r.Max() != 100 {
-		t.Fatalf("min/max = %v/%v", r.Min(), r.Max())
-	}
-	if mean := r.Mean(); math.Abs(mean-50.5) > 0.01 {
-		t.Fatalf("mean = %v", mean)
-	}
-	if r.Count() != 100 {
-		t.Fatalf("count = %d", r.Count())
-	}
-}
-
-func TestPercentileEdges(t *testing.T) {
-	r := NewLatencyRecorder(10)
-	if r.Percentile(50) != 0 {
-		t.Fatal("empty recorder percentile not 0")
-	}
-	r.Record(42)
-	if r.Percentile(0) != 42 || r.Percentile(100) != 42 || r.Median() != 42 {
-		t.Fatal("single-sample percentiles")
-	}
-}
-
-func TestRecordAfterPercentileKeepsOrder(t *testing.T) {
-	r := NewLatencyRecorder(100)
-	r.Record(3)
-	r.Record(1)
-	_ = r.Median() // forces sort
-	r.Record(2)
-	if m := r.Median(); m != 2 {
-		t.Fatalf("median after resort = %v", m)
-	}
-}
-
-func TestReservoirSamplingBounded(t *testing.T) {
-	r := NewLatencyRecorder(1000)
-	for i := 0; i < 100000; i++ {
-		r.Record(float64(i % 1000))
-	}
-	if len(r.samples) != 1000 {
-		t.Fatalf("reservoir size %d", len(r.samples))
-	}
-	if r.Count() != 100000 {
-		t.Fatalf("count %d", r.Count())
-	}
-	// Uniform 0..999 → median ≈ 500 within sampling noise.
-	if m := r.Median(); m < 400 || m > 600 {
-		t.Fatalf("sampled median = %v, want ≈500", m)
-	}
-}
-
-func TestMeanMinMaxExactUnderSampling(t *testing.T) {
-	r := NewLatencyRecorder(10)
-	for i := 1; i <= 1000; i++ {
-		r.Record(float64(i))
-	}
-	if r.Min() != 1 || r.Max() != 1000 {
-		t.Fatalf("min/max lost under sampling: %v/%v", r.Min(), r.Max())
-	}
-	if math.Abs(r.Mean()-500.5) > 0.01 {
-		t.Fatalf("mean = %v", r.Mean())
-	}
-}
-
-func TestReset(t *testing.T) {
-	r := NewLatencyRecorder(10)
-	r.Record(5)
-	r.Reset()
-	if r.Count() != 0 || r.Median() != 0 || r.Mean() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestThroughputUnits(t *testing.T) {
 	tp := Throughput{Packets: 1000, Bytes: 1000 * 1000, Duration: 1e6} // 1 ms
 	// 8e6 bits in 1e6 ns = 8 Gbps; 1000 pkts in 1e-3 s = 1 Mpps.

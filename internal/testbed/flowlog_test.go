@@ -352,8 +352,8 @@ func TestWireFlowsExport(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("WireFlowRecords returned nothing")
 	}
-	drops, txWire := sv.d.wireLedger(sv.d.wireEngines)
-	rec := flowlog.Reconcile(recs, txWire+drops.Total(), txWire, &drops)
+	led := sv.d.wireLedger(sv.d.wireEngines)
+	rec := flowlog.Reconcile(recs, led.TxWire+led.Dropped, led.TxWire, &led.DropsByReason)
 	if !rec.Exact {
 		t.Fatalf("wire reconciliation inexact: %+v", rec)
 	}

@@ -1,10 +1,10 @@
 // Live metrics: folding the DUT's counters into trace.Snapshot values
 // for the -metrics HTTP exporter while a wire session is serving. Every
-// counter is single-writer per-core state: the 1-core serve loop owns
-// all of it inline, and the multicore loop quiesces the cores behind the
-// publish gate before snapshotting. Either way a snapshot is built
-// without per-counter locks and published as an immutable value; scrape
-// handlers only ever read published snapshots.
+// counter is single-writer per-core state: core 0 publishes between its
+// own steps, and the publish gate quiesces cores 1..N-1 before the
+// snapshot. A snapshot is thus built without per-counter locks and
+// published as an immutable value; scrape handlers only ever read
+// published snapshots.
 package testbed
 
 import (
@@ -14,7 +14,6 @@ import (
 
 	"packetmill/internal/click"
 	"packetmill/internal/flowlog"
-	"packetmill/internal/machine"
 	"packetmill/internal/stats"
 	"packetmill/internal/telemetry"
 	"packetmill/internal/trace"
@@ -47,10 +46,9 @@ func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snaps
 	add("packetmill_uptime_seconds", "Wall time since serving started.",
 		"gauge", nil, elapsed.Seconds())
 
+	led := d.wireLedger(engines)
 	// Port counters and queue depths, in (core, port id) order so the
 	// exposition text is deterministic.
-	var drops stats.DropCounters
-	e2e := trace.NewHist()
 	for c := range d.PortsFor {
 		for id := 0; id < d.Opts.NICs; id++ {
 			port, ok := d.PortsFor[c][id]
@@ -98,21 +96,10 @@ func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snaps
 					"X-Change descriptor pool exhaustion events.",
 					"counter", pl, float64(cb.Pool.GetFails))
 			}
-			drops.Add(stats.DropRxNoBuf, rxs.DropNoBuf)
-			drops.Add(stats.DropRxRingFull, rxs.DropFull)
-			drops.Add(stats.DropRxRunt, rxs.DropRunt)
-			drops.Add(stats.DropTxRingFull, txs.DropFull)
-			drops.Add(stats.DropTxTransient, txs.DropTransient)
-			drops.Add(stats.DropTxOversize, txs.DropOversize)
-			drops.Merge(&port.Drops)
-			e2e.Merge(port.LatHist)
 		}
 	}
 	backlog := 0
 	for _, e := range engines {
-		if ds, ok := e.(dropStatser); ok {
-			drops.Merge(ds.DropStats())
-		}
 		if tb, ok := e.(txBacklogger); ok {
 			backlog += tb.TxBacklog()
 		}
@@ -190,22 +177,13 @@ func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snaps
 	// a stable family the moment the endpoint comes up.
 	for r := stats.DropReason(0); r < stats.NumDropReasons; r++ {
 		add("packetmill_drops_total", "Frames lost, by drop taxonomy reason.",
-			"counter", [][2]string{{"reason", r.String()}}, float64(drops.Get(r)))
+			"counter", [][2]string{{"reason", r.String()}}, float64(led.DropsByReason.Get(r)))
 	}
 	// Flow records: verdict roll-ups, top flows, and the /flows body
 	// (families appear only when flow logging is armed).
-	var flowRecs []flowlog.Record
 	if d.Opts.FlowLog != nil {
-		var txWire uint64
-		for c := range d.PortsFor {
-			for id := 0; id < d.Opts.NICs; id++ {
-				if port, ok := d.PortsFor[c][id]; ok {
-					txWire += port.Dev.TXStats().Sent
-				}
-			}
-		}
-		flowRecs = d.Opts.FlowLog.Records(&drops, txWire)
-		sum := flowlog.Summarize(flowRecs)
+		led.Flows = d.Opts.FlowLog.Records(&led.DropsByReason, led.TxWire)
+		sum := flowlog.Summarize(led.Flows)
 		// One family at a time: the exposition format requires a family's
 		// samples to stay contiguous.
 		for v := flowlog.Verdict(0); v < flowlog.NumVerdicts; v++ {
@@ -230,7 +208,7 @@ func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snaps
 		add("packetmill_flow_latency_misses_total",
 			"TX depart-hook samples whose flow was no longer in any table.",
 			"counter", nil, float64(misses))
-		for rank, t := range flowlog.TopByBytes(flowRecs, 5) {
+		for rank, t := range flowlog.TopByBytes(led.Flows, 5) {
 			add("packetmill_flow_top_bytes", "Largest flows of the current cut, by bytes.",
 				"gauge", [][2]string{
 					{"rank", strconv.Itoa(rank + 1)},
@@ -238,14 +216,14 @@ func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snaps
 					{"verdict", t.Verdict.String()},
 				}, float64(t.Bytes))
 		}
-		snap.FlowsJSONL = flowlog.JSONL(flowRecs)
+		snap.FlowsJSONL = flowlog.JSONL(led.Flows)
 	}
 
-	if e2e.Count() > 0 {
+	if led.Latency.Count() > 0 {
 		snap.Hists = append(snap.Hists, trace.PromHist(
 			"packetmill_latency_seconds",
 			"One-way RX-arrival to TX-departure latency through the DUT.",
-			nil, e2e))
+			nil, led.Latency))
 	}
 	for c, t := range d.Trackers {
 		for _, b := range t.Buckets() {
@@ -263,16 +241,18 @@ func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snaps
 		}
 	}
 
-	snap.ReportJSON = d.wireReportJSON(engines, elapsed, &drops, e2e, flowRecs)
+	snap.ReportJSON = d.wireReportJSON(engines, elapsed, led)
 	return snap
 }
 
-// wireLedger folds the wire session's device, PMD, and engine drop
-// counters into one ledger plus the wire TX total — the denominators
-// the flow log reconciles against.
-func (d *DUT) wireLedger(engines []Engine) (stats.DropCounters, uint64) {
-	var drops stats.DropCounters
-	var txWire uint64
+// wireLedger is the one place a wire session's device, PMD, and engine
+// counters are folded into its conservation ledger: offered frames
+// (everything the devices received or dropped on RX), TX, the drop
+// taxonomy, and the end-to-end latency histogram. /metrics, /report, and
+// the flow-record cut all render from it.
+func (d *DUT) wireLedger(engines []Engine) *Result {
+	res := &Result{Latency: trace.NewHist()}
+	drops := &res.DropsByReason
 	for c := range d.PortsFor {
 		for id := 0; id < d.Opts.NICs; id++ {
 			port, ok := d.PortsFor[c][id]
@@ -280,7 +260,9 @@ func (d *DUT) wireLedger(engines []Engine) (stats.DropCounters, uint64) {
 				continue
 			}
 			rxs, txs := port.Dev.RXStats(), port.Dev.TXStats()
-			txWire += txs.Sent
+			res.Offered += rxs.Delivered + rxs.DropNoBuf + rxs.DropFull + rxs.DropRunt
+			res.Packets += txs.Sent
+			res.Bytes += txs.Bytes
 			drops.Add(stats.DropRxNoBuf, rxs.DropNoBuf)
 			drops.Add(stats.DropRxRingFull, rxs.DropFull)
 			drops.Add(stats.DropRxRunt, rxs.DropRunt)
@@ -288,6 +270,7 @@ func (d *DUT) wireLedger(engines []Engine) (stats.DropCounters, uint64) {
 			drops.Add(stats.DropTxTransient, txs.DropTransient)
 			drops.Add(stats.DropTxOversize, txs.DropOversize)
 			drops.Merge(&port.Drops)
+			res.Latency.Merge(port.LatHist)
 		}
 	}
 	for _, e := range engines {
@@ -295,7 +278,9 @@ func (d *DUT) wireLedger(engines []Engine) (stats.DropCounters, uint64) {
 			drops.Merge(ds.DropStats())
 		}
 	}
-	return drops, txWire
+	res.TxWire = res.Packets
+	res.Dropped = drops.Total()
+	return res
 }
 
 // WireFlowRecords assembles the flow-record cut of a finished wire
@@ -305,19 +290,18 @@ func (d *DUT) WireFlowRecords() []flowlog.Record {
 	if d.Opts.FlowLog == nil {
 		return nil
 	}
-	drops, txWire := d.wireLedger(d.wireEngines)
-	return d.Opts.FlowLog.Records(&drops, txWire)
+	led := d.wireLedger(d.wireEngines)
+	return d.Opts.FlowLog.Records(&led.DropsByReason, led.TxWire)
 }
 
 // wireReportJSON renders the same telemetry.Report a -report json run
-// would emit, against the session so far, for the exporter's /report
-// endpoint. Returns nil (the exporter serves "{}") when telemetry is off.
-func (d *DUT) wireReportJSON(engines []Engine, elapsed time.Duration,
-	drops *stats.DropCounters, e2e *trace.Hist, flowRecs []flowlog.Record) []byte {
+// would emit, against the session's ledger so far, for the exporter's
+// /report endpoint. Returns nil (the exporter serves "{}") when
+// telemetry is off.
+func (d *DUT) wireReportJSON(engines []Engine, elapsed time.Duration, res *Result) []byte {
 	if !d.Opts.Telemetry {
 		return nil
 	}
-	res := &Result{Latency: stats.NewLatencyRecorder(1)}
 	res.Duration = float64(elapsed)
 	// Engine index == core index on every wire path, so keep nil
 	// placeholders for non-Click engines to preserve the mapping.
@@ -328,46 +312,19 @@ func (d *DUT) wireReportJSON(engines []Engine, elapsed time.Duration,
 		}
 		res.Routers = append(res.Routers, rt)
 	}
-	var agg machine.Counters
-	for c := range d.PortsFor {
-		for id := 0; id < d.Opts.NICs; id++ {
-			port, ok := d.PortsFor[c][id]
-			if !ok {
-				continue
-			}
-			rxs := port.Dev.RXStats()
-			txs := port.Dev.TXStats()
-			res.Offered += rxs.Delivered + rxs.DropNoBuf + rxs.DropFull + rxs.DropRunt
-			res.Packets += txs.Sent
-			res.Bytes += txs.Bytes
-			res.TxWire += txs.Sent
-		}
-	}
-	res.DropsByReason = *drops
-	res.Dropped = drops.Total()
-	res.Flows = flowRecs
 	for _, ctl := range d.Ctls {
 		res.Overload = append(res.Overload, ctl.Status(float64(elapsed)))
 	}
 	for _, c := range d.Cores {
 		ct := c.Snapshot()
-		agg.Instructions += ct.Instructions
-		agg.BusyCycles += ct.BusyCycles
-		agg.TLBMisses += ct.TLBMisses
-		agg.LLCLoads += ct.LLCLoads
-		agg.LLCLoadMisses += ct.LLCLoadMisses
-		if ct.WallNS > agg.WallNS {
-			agg.WallNS = ct.WallNS
-		}
+		res.Counters.Instructions += ct.Instructions
+		res.Counters.BusyCycles += ct.BusyCycles
+		res.Counters.TLBMisses += ct.TLBMisses
+		res.Counters.LLCLoads += ct.LLCLoads
+		res.Counters.LLCLoadMisses += ct.LLCLoadMisses
+		res.Counters.WallNS = max(res.Counters.WallNS, ct.WallNS)
 	}
-	res.Counters = agg
-	r := d.buildReport(res, res.Latency, e2e, nil)
-	// The recorder is empty on the wire path; the histogram carries the
-	// exact extremes too, so take the whole digest from it.
-	if e2e.Count() > 0 {
-		r.LatencyUS = telemetry.LatencyFromHist(e2e)
-	}
-	out, err := json.Marshal(r)
+	out, err := json.Marshal(d.buildReport(res, nil))
 	if err != nil {
 		return nil
 	}

@@ -10,15 +10,13 @@ import (
 	"packetmill/internal/overload"
 	"packetmill/internal/stats"
 	"packetmill/internal/telemetry"
-	"packetmill/internal/trace"
 )
 
 // buildReport assembles the telemetry report after a driven run. Core and
 // span numbers cover the whole run (trackers attribute from time zero, so
 // the coverage self-check is exact); Totals keeps the measurement-window
 // view the text reports use.
-func (d *DUT) buildReport(res *Result, lat *stats.LatencyRecorder, e2e *trace.Hist,
-	intervals []telemetry.Interval) *telemetry.Report {
+func (d *DUT) buildReport(res *Result, intervals []telemetry.Interval) *telemetry.Report {
 	o := d.Opts
 	r := &telemetry.Report{
 		Schema: telemetry.Schema,
@@ -55,27 +53,10 @@ func (d *DUT) buildReport(res *Result, lat *stats.LatencyRecorder, e2e *trace.Hi
 	}
 
 	// Latency: full-run totals (see telemetry.LatencyUS for the unit
-	// contract). The histogram covers every post-warmup departure, so
-	// its percentiles are exact up to bucket width; count/min/mean/max
-	// come from the recorder's exact accumulators. The recorder's
-	// reservoir percentiles remain only as the fallback when the
-	// histogram is absent.
-	s := lat.Summarize()
-	r.LatencyUS = telemetry.LatencyUS{
-		Count: s.Count,
-		Min:   stats.MicrosFromNS(s.Min),
-		Mean:  stats.MicrosFromNS(s.Mean),
-		P50:   stats.MicrosFromNS(s.P50),
-		P90:   stats.MicrosFromNS(s.P90),
-		P99:   stats.MicrosFromNS(s.P99),
-		P999:  stats.MicrosFromNS(s.P999),
-		Max:   stats.MicrosFromNS(s.Max),
-	}
-	if e2e.Count() > 0 {
-		h := telemetry.LatencyFromHist(e2e)
-		r.LatencyUS.P50, r.LatencyUS.P90 = h.P50, h.P90
-		r.LatencyUS.P99, r.LatencyUS.P999 = h.P99, h.P999
-	}
+	// contract). The histogram covers every measured departure, so its
+	// percentiles are exact up to bucket width and count/min/mean/max
+	// are exact.
+	r.LatencyUS = telemetry.LatencyFromHist(res.Latency)
 
 	// Per-core ledgers, full run: the span trackers started at time zero,
 	// so attribution must be compared against the same window.

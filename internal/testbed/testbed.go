@@ -184,7 +184,11 @@ func (o Options) withDefaults() Options {
 // Result is everything a run measured.
 type Result struct {
 	stats.Throughput
-	Latency *stats.LatencyRecorder
+	// Latency is the wire-to-wire latency histogram over the
+	// measurement window (post-warmup departures). Percentiles carry the
+	// histogram's ≤3% bucket quantization; count, min, mean, and max are
+	// exact.
+	Latency *trace.Hist
 	// Counters is the perf delta over the measurement window, aggregated
 	// across cores (LLC counters are system-wide).
 	Counters machine.Counters
@@ -807,11 +811,9 @@ type driver struct {
 	buf     [][]byte // owned copies of head frames
 	offered uint64
 
-	// Measurement probes. e2e is the full-run wire-to-wire latency
-	// histogram (post-warmup, like lat) the report percentiles come
-	// from; nil when telemetry is off.
-	lat            *stats.LatencyRecorder
-	e2e            *trace.Hist
+	// Measurement probes. lat is the wire-to-wire latency histogram
+	// over post-warmup departures (Result.Latency).
+	lat            *trace.Hist
 	departed       uint64
 	measuredPkts   uint64
 	measuredBytes  uint64
@@ -958,7 +960,6 @@ func (dr *driver) onDepart(p *pktbuf.Packet, departNS float64) {
 			}
 		}
 		dr.lat.Record(departNS - p.ArrivalNS)
-		dr.e2e.Record(departNS - p.ArrivalNS)
 		if dr.classLat != nil {
 			dr.classLat[overload.ClassOf(p.Bytes())].Record(departNS - p.ArrivalNS)
 		}
@@ -1047,13 +1048,10 @@ func (d *DUT) Drive(engines []Engine) (*Result, error) {
 		o:              o,
 		engines:        engines,
 		measureStartNS: -1,
-		lat:            stats.NewLatencyRecorder(1 << 19),
+		lat:            trace.NewHist(),
 		startCounters:  make([]machine.Counters, o.Cores),
 		warmup:         uint64(o.Warmup),
 		nextSampleNS:   o.SnapshotIntervalNS,
-	}
-	if o.Telemetry {
-		dr.e2e = trace.NewHist()
 	}
 	if len(d.Ctls) > 0 {
 		// Observe a few times per dwell window so the state machine sees
@@ -1305,7 +1303,7 @@ func (dr *driver) run() (*Result, error) {
 				res.Routers = append(res.Routers, rt)
 			}
 		}
-		res.Telemetry = d.buildReport(res, dr.lat, dr.e2e, dr.intervals)
+		res.Telemetry = d.buildReport(res, dr.intervals)
 	}
 	return res, nil
 }

@@ -8,10 +8,10 @@
 // Multicore serving is the paper's run-to-completion model made literal:
 // core c owns its queue pairs, its pktbuf pools, its span tracker, its
 // overload controller, its Click graph replica, and its own simulated
-// machine — zero shared mutable state on the hot path. The goroutines
-// meet only at an atomic stop flag, padded per-core progress counters
-// the coordinator sums, and (when a metrics exporter is attached) a
-// publish gate that briefly quiesces the cores for a snapshot.
+// machine — zero shared mutable state on the hot path. The cores meet
+// only at an atomic stop flag, padded per-core progress counters core 0
+// sums, and (when a metrics exporter is attached) a publish gate that
+// briefly quiesces the cores for a snapshot.
 package testbed
 
 import (
@@ -111,20 +111,20 @@ type WireServeStats struct {
 // canceled, the engines have moved maxPackets packets (0 = no budget),
 // or the datapath has been idle for idleExit (0 = no idle exit). On a
 // normal exit it drains in-flight transmissions so a post-run Audit
-// balances. One engine runs the classic inline loop; several run one
-// goroutine per core, run to completion, with a coordinator watching
-// the exit conditions.
+// balances.
+//
+// Every core runs the same run-to-completion loop, stepping only its
+// own engine, ports, tracker, and overload controller against its own
+// machine. The caller's goroutine runs core 0 and also watches the exit
+// conditions; cores 1..N-1 run one goroutine each. A 1-core session is
+// therefore a single goroutine with no timer.
 func (d *DUT) ServeWire(ctx context.Context, engines []Engine,
 	idleExit time.Duration, maxPackets uint64) (WireServeStats, error) {
 	if len(engines) != len(d.Cores) {
 		return WireServeStats{}, fmt.Errorf("testbed: %d engines for %d cores", len(engines), len(d.Cores))
 	}
 	d.wireEngines = engines
-	if len(engines) > 1 {
-		return d.serveWireMulti(ctx, engines, idleExit, maxPackets)
-	}
 	start := time.Now()
-	lastWork := start
 	// On the wire the flight recorder timestamps events with wall time
 	// (the simulated calendar does not advance against real sockets).
 	if d.Opts.Trace != nil {
@@ -132,128 +132,29 @@ func (d *DUT) ServeWire(ctx context.Context, engines []Engine,
 			ct.SetClock(func() float64 { return float64(time.Since(start)) })
 		}
 	}
-	lastPublish := start
-	// Overload observation on the wire runs against the wall clock; the
-	// cadence is the same dwell-derived fraction the simulated driver uses.
-	var obsEveryNS float64
-	var nextObsNS []float64
-	var obsPolls, obsEmpty []uint64
-	if len(d.Ctls) > 0 {
-		obsEveryNS = d.Ctls[0].DwellNS() / 4
-		if obsEveryNS <= 0 {
-			obsEveryNS = 12.5e3
-		}
-		nextObsNS = make([]float64, len(engines))
-		obsPolls = make([]uint64, len(engines))
-		obsEmpty = make([]uint64, len(engines))
-	}
-	var st WireServeStats
-	for {
-		select {
-		case <-ctx.Done():
-			d.drainWire(engines, start)
-			d.publishMetrics(engines, time.Since(start))
-			return st, ctx.Err()
-		default:
-		}
-		now := float64(time.Since(start))
-		for i := range nextObsNS {
-			if i < len(d.Ctls) && now >= nextObsNS[i] {
-				nextObsNS[i] = now + obsEveryNS
-				d.observeCore(engines[i], i, now, &obsPolls[i], &obsEmpty[i])
-			}
-		}
-		moved := 0
-		for i, e := range engines {
-			moved += e.Step(d.Cores[i], now)
-		}
-		st.Steps++
-		if d.Opts.Metrics != nil && time.Since(lastPublish) >= metricsInterval {
-			lastPublish = time.Now()
-			d.publishMetrics(engines, time.Since(start))
-		}
-		if moved > 0 {
-			st.Packets += uint64(moved)
-			lastWork = time.Now()
-			if maxPackets > 0 && st.Packets >= maxPackets {
-				break
-			}
-			continue
-		}
-		if idleExit > 0 && time.Since(lastWork) > idleExit {
-			break
-		}
-		// An empty poll on a live wire should not spin a core flat out.
-		runtime.Gosched()
-	}
-	d.drainWire(engines, start)
-	// A final snapshot so a scrape after the session (the CI check does
-	// this) sees the totals, not a half-second-old view.
-	d.publishMetrics(engines, time.Since(start))
-	return st, nil
-}
-
-// coreProgress is the slice of serving state one core shares with the
-// coordinator, padded past a cache line so neighboring cores' counters
-// never false-share.
-type coreProgress struct {
-	steps   atomic.Uint64
-	packets atomic.Uint64
-	// lastWork is the wall offset (ns since serve start) of the last
-	// round that moved packets.
-	lastWork atomic.Int64
-	_        [104]byte
-}
-
-// serveWireMulti is the N-core serve loop: one run-to-completion
-// goroutine per core, each stepping only its own engine, ports, tracker,
-// and overload controller against its own machine. A coordinator sums
-// the per-core progress counters every millisecond to enforce the packet
-// budget and the idle exit (idleness means every core has been idle),
-// and — when an exporter is attached — takes the publish gate's write
-// side so snapshots read quiescent counters.
-func (d *DUT) serveWireMulti(ctx context.Context, engines []Engine,
-	idleExit time.Duration, maxPackets uint64) (WireServeStats, error) {
-	start := time.Now()
-	if d.Opts.Trace != nil {
-		for _, ct := range d.Opts.Trace.Cores() {
-			ct.SetClock(func() float64 { return float64(time.Since(start)) })
-		}
-	}
-	var obsEveryNS float64
-	if len(d.Ctls) > 0 {
-		obsEveryNS = d.Ctls[0].DwellNS() / 4
-		if obsEveryNS <= 0 {
-			obsEveryNS = 12.5e3
-		}
-	}
 	// The gate exists only for the exporter: every per-core counter,
 	// histogram, and tracker is single-writer state owned by its core's
-	// goroutine, so a mid-session snapshot must briefly quiesce the cores
-	// (writer side) while they step under the read side. Without an
-	// exporter the cores never touch it.
+	// goroutine, so a mid-session snapshot must quiesce cores 1..N-1
+	// (writer side) while they step under the read side. Core 0 publishes
+	// between its own steps and so never needs the read side. Without an
+	// exporter no core touches the gate.
 	var gate sync.RWMutex
 	publish := d.Opts.Metrics != nil
 	var stop atomic.Bool
 	prog := make([]coreProgress, len(engines))
 	var wg sync.WaitGroup
-	for i := range engines {
+	for i := 1; i < len(engines); i++ {
 		wg.Add(1)
-		go func(ci int) {
+		go func() {
 			defer wg.Done()
-			core, eng, p := d.Cores[ci], engines[ci], &prog[ci]
-			var nextObsNS float64
-			var obsPolls, obsEmpty uint64
+			cl := d.newCoreLoop(engines, i)
+			p := &prog[i]
 			for !stop.Load() {
 				if publish {
 					gate.RLock()
 				}
-				now := float64(time.Since(start))
-				if obsEveryNS > 0 && now >= nextObsNS {
-					nextObsNS = now + obsEveryNS
-					d.observeCore(eng, ci, now, &obsPolls, &obsEmpty)
-				}
-				moved := eng.Step(core, now)
+				now := time.Since(start)
+				moved := cl.step(now)
 				if publish {
 					gate.RUnlock()
 				}
@@ -265,56 +166,117 @@ func (d *DUT) serveWireMulti(ctx context.Context, engines []Engine,
 					runtime.Gosched()
 				}
 			}
-		}(i)
+		}()
 	}
 
-	sum := func() (pkts uint64, lastWork time.Duration) {
-		for i := range prog {
-			pkts += prog[i].packets.Load()
-			if w := time.Duration(prog[i].lastWork.Load()); w > lastWork {
-				lastWork = w
-			}
-		}
-		return
-	}
+	// Core 0's loop. Its own progress is exact on every step; the other
+	// cores' counters are summed every othersEvery, so core 0 does not
+	// pull their cache lines on each round.
+	cl := d.newCoreLoop(engines, 0)
+	var st WireServeStats
 	var err error
-	lastPublish := start
-	tick := time.NewTicker(time.Millisecond)
-watch:
+	var lastWork, lastPublish, nextSum, othersWork time.Duration
+	var othersPkts uint64
+serve:
 	for {
 		select {
 		case <-ctx.Done():
 			err = ctx.Err()
-			break watch
-		case <-tick.C:
+			break serve
+		default:
 		}
-		pkts, lastWork := sum()
-		if maxPackets > 0 && pkts >= maxPackets {
+		now := time.Since(start)
+		moved := cl.step(now)
+		st.Steps++
+		if moved > 0 {
+			st.Packets += uint64(moved)
+			lastWork = now
+		}
+		if now >= nextSum {
+			nextSum = now + othersEvery
+			othersPkts, othersWork = 0, 0
+			for i := 1; i < len(prog); i++ {
+				othersPkts += prog[i].packets.Load()
+				othersWork = max(othersWork, time.Duration(prog[i].lastWork.Load()))
+			}
+		}
+		if maxPackets > 0 && st.Packets+othersPkts >= maxPackets {
 			break
 		}
-		if idleExit > 0 && time.Since(start)-lastWork > idleExit {
+		if idleExit > 0 && now-max(lastWork, othersWork) > idleExit {
 			break
 		}
-		if publish && time.Since(lastPublish) >= metricsInterval {
-			lastPublish = time.Now()
+		if publish && now-lastPublish >= metricsInterval {
+			lastPublish = now
 			gate.Lock()
-			d.publishMetrics(engines, time.Since(start))
+			d.publishMetrics(engines, now)
 			gate.Unlock()
 		}
+		if moved == 0 {
+			// An empty poll on a live wire should not spin a core flat out.
+			runtime.Gosched()
+		}
 	}
-	tick.Stop()
 	stop.Store(true)
 	wg.Wait()
 	// Cores are joined: the drain and the final snapshot run
-	// single-threaded over quiescent state, exactly like the 1-core path.
+	// single-threaded over quiescent state. The snapshot lets a scrape
+	// after the session (the CI check does this) see the totals, not a
+	// half-second-old view.
 	d.drainWire(engines, start)
 	d.publishMetrics(engines, time.Since(start))
-	var st WireServeStats
-	for i := range prog {
+	for i := 1; i < len(prog); i++ {
 		st.Steps += prog[i].steps.Load()
 		st.Packets += prog[i].packets.Load()
 	}
 	return st, err
+}
+
+// othersEvery is how often core 0 sums the other cores' progress
+// counters to check the packet budget and the idle exit.
+const othersEvery = time.Millisecond
+
+// coreProgress is the slice of serving state core c > 0 shares with
+// core 0, padded past a cache line so neighboring cores' counters never
+// false-share.
+type coreProgress struct {
+	steps   atomic.Uint64
+	packets atomic.Uint64
+	// lastWork is the wall offset (ns since serve start) of the last
+	// round that moved packets.
+	lastWork atomic.Int64
+	_        [104]byte
+}
+
+// coreLoop is one core's serving state: its engine and the overload
+// observation cadence, which runs against the wall clock at the same
+// dwell-derived fraction the simulated driver uses.
+type coreLoop struct {
+	d                  *DUT
+	ci                 int
+	eng                Engine
+	obsEvery, nextObs  time.Duration
+	obsPolls, obsEmpty uint64
+}
+
+func (d *DUT) newCoreLoop(engines []Engine, ci int) *coreLoop {
+	cl := &coreLoop{d: d, ci: ci, eng: engines[ci]}
+	if len(d.Ctls) > 0 {
+		cl.obsEvery = time.Duration(d.Ctls[0].DwellNS() / 4)
+		if cl.obsEvery <= 0 {
+			cl.obsEvery = 12500 * time.Nanosecond
+		}
+	}
+	return cl
+}
+
+// step runs one scheduling round of the core at wall offset now.
+func (cl *coreLoop) step(now time.Duration) int {
+	if cl.obsEvery > 0 && now >= cl.nextObs {
+		cl.nextObs = now + cl.obsEvery
+		cl.d.observeCore(cl.eng, cl.ci, float64(now), &cl.obsPolls, &cl.obsEmpty)
+	}
+	return cl.eng.Step(cl.d.Cores[cl.ci], float64(now))
 }
 
 // drainWire steps the engines and reaps TX rings until nothing moves and

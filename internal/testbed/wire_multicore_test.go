@@ -12,8 +12,6 @@ import (
 	"packetmill/internal/nf"
 	"packetmill/internal/nic"
 	"packetmill/internal/pktbuf"
-	"packetmill/internal/stats"
-	"packetmill/internal/trace"
 	"packetmill/internal/wire"
 )
 
@@ -178,7 +176,7 @@ func TestWireMulticoreConservation(t *testing.T) {
 	}
 
 	// Attribution self-check, per core and summed across trackers.
-	rep := d.buildReport(&Result{}, stats.NewLatencyRecorder(1), trace.NewHist(), nil)
+	rep := d.buildReport(&Result{}, nil)
 	if rep.Attribution.CoreBusyCycles == 0 {
 		t.Fatal("no busy cycles recorded")
 	}

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"os"
 	"sync"
 	"syscall"
 	"time"
@@ -116,13 +117,16 @@ type Port struct {
 	posted  []*pktbuf.Packet
 	// TX: a fixed ring of in-flight buffers awaiting wall-clock depart.
 	// txPending counts Enqueue calls that reserved a slot but are still
-	// inside the unlocked retry backoff; capacity checks use txN+txPending
-	// so a concurrent Enqueue can never overwrite an in-flight record.
+	// inside the unlocked write; capacity checks use txN+txPending so a
+	// concurrent Enqueue can never overwrite an in-flight record.
 	inflight   []txRec
 	txHead     int
 	txN        int
 	txPending  int
 	lastDepart time.Time
+	// txDeadline is the write deadline last armed on txConn; see
+	// txWriteBound.
+	txDeadline time.Time
 
 	rxStats nic.RXQueueStats
 	txStats nic.TXQueueStats
@@ -136,15 +140,27 @@ type Port struct {
 // before the frame is booked under the transient-drop counter.
 const txMaxRetries = 3
 
-// isTransient classifies the errnos a loaded-but-alive socket returns —
-// would-block (EAGAIN) and kernel buffer exhaustion (ENOBUFS/ENOMEM) —
-// which deserve a bounded retry rather than an immediate drop. Anything
-// else (peer gone, fd closed) is a hard error.
+// txWriteBound caps how long one TX write may wait on a peer whose
+// socket buffer stays full before the frame is booked as a transient
+// drop, so a stalled peer never parks the serve loop for good. It sits
+// well above the runtime's ~10 ms network-poll interval under busy
+// spinning, so a merely slow reader never costs a frame. The deadline is
+// re-armed only when less than half the bound remains, which keeps the
+// timer update off the per-frame path; after a write times out it stays
+// expired for half a bound, so a stalled peer costs one bound per window
+// rather than one per frame.
+const txWriteBound = 100 * time.Millisecond
+
+// isTransient classifies the errors a loaded-but-alive socket returns —
+// would-block (EAGAIN), kernel buffer exhaustion (ENOBUFS/ENOMEM), and a
+// write that outwaited txWriteBound — which are congestion rather than
+// breakage. Anything else (peer gone, fd closed) is a hard error.
 func isTransient(err error) bool {
 	return errors.Is(err, syscall.EAGAIN) ||
 		errors.Is(err, syscall.EWOULDBLOCK) ||
 		errors.Is(err, syscall.ENOBUFS) ||
-		errors.Is(err, syscall.ENOMEM)
+		errors.Is(err, syscall.ENOMEM) ||
+		errors.Is(err, os.ErrDeadlineExceeded)
 }
 
 var _ nic.Port = (*Port)(nil)
@@ -402,6 +418,12 @@ func (p *Port) PollCompressed(core *machine.Core, nowNS float64, max int,
 // its wall-clock departure. The link-rate pacing delays only *buffer
 // reclamation* — the datagram itself leaves immediately — which is the
 // part of serialization the driver can observe: TX-ring backpressure.
+//
+// The lock is never held across the write: the in-flight slot is
+// reserved under it, the socket is written unlocked, and the result is
+// booked under it again. Holding it would let a full peer park this
+// port's drain goroutine too — and two ports wired back to back would
+// then wait on each other forever.
 func (p *Port) Enqueue(core *machine.Core, pkt *pktbuf.Packet, nowNS float64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -417,33 +439,34 @@ func (p *Port) Enqueue(core *machine.Core, pkt *pktbuf.Packet, nowNS float64) bo
 		p.pushInflight(txRec{pkt: pkt, departWall: now})
 		return true
 	}
-	if p.txConn != nil {
-		var err error
-		backoff := 50 * time.Microsecond
-		// Reserve the in-flight slot before any backoff can release the
-		// lock: without the reservation, a concurrent Enqueue could pass
-		// the capacity check during the sleep and pushInflight would then
-		// overwrite the oldest in-flight record — leaking that buffer
-		// (never reaped) and corrupting txN.
+	if conn := p.txConn; conn != nil {
+		// The reservation keeps a concurrent Enqueue from passing the
+		// capacity check while this one is unlocked; without it
+		// pushInflight could overwrite the oldest in-flight record —
+		// leaking that buffer (never reaped) and corrupting txN.
 		p.txPending++
-		for attempt := 0; ; attempt++ {
-			_, err = p.txConn.Write(pkt.Bytes())
-			if err == nil || !isTransient(err) || attempt >= txMaxRetries || p.closed {
-				break
-			}
-			// Transient errno (EAGAIN/ENOBUFS): bounded doubling backoff,
-			// lock released so Poll/Reap keep moving while we wait.
-			p.mu.Unlock()
-			time.Sleep(backoff)
-			backoff *= 2
-			p.mu.Lock()
+		arm := now.Add(txWriteBound / 2).After(p.txDeadline)
+		if arm {
+			p.txDeadline = now.Add(txWriteBound)
 		}
+		p.mu.Unlock()
+		if arm {
+			// A conn that takes no deadline keeps an unbounded write;
+			// the port still works, only without the stall bound.
+			_ = conn.SetWriteDeadline(now.Add(txWriteBound))
+		}
+		err := writeFrame(conn, pkt.Bytes())
+		p.mu.Lock()
 		p.txPending--
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			p.txDeadline = time.Now().Add(txWriteBound)
+		}
 		if err != nil {
-			// A transient errno that survived the retries is the kernel
-			// buffer overrunning; a hard error is the peer overrun or
-			// gone. Distinct counters so dashboards can tell congestion
-			// from breakage. Either way the buffer cycles back via Reap.
+			// A transient errno that survived the retries, or a peer
+			// that stayed full past the write bound, is congestion; a
+			// hard error is the peer gone. Distinct counters so
+			// dashboards can tell congestion from breakage. Either way
+			// the buffer cycles back via Reap.
 			if isTransient(err) {
 				p.txStats.DropTransient++
 			} else {
@@ -464,6 +487,22 @@ func (p *Port) Enqueue(core *machine.Core, pkt *pktbuf.Packet, nowNS float64) bo
 	p.txStats.Sent++
 	p.txStats.Bytes += uint64(pkt.Len())
 	return true
+}
+
+// writeFrame sends one datagram, retrying a transient errno
+// (EAGAIN/ENOBUFS) with a bounded doubling backoff. A write that hits
+// the deadline is final: the peer stayed full for the whole bound.
+func writeFrame(conn net.Conn, b []byte) error {
+	backoff := 50 * time.Microsecond
+	for attempt := 0; ; attempt++ {
+		_, err := conn.Write(b)
+		if err == nil || !isTransient(err) || errors.Is(err, os.ErrDeadlineExceeded) ||
+			attempt >= txMaxRetries {
+			return err
+		}
+		time.Sleep(backoff)
+		backoff *= 2
+	}
 }
 
 func (p *Port) pushInflight(r txRec) {

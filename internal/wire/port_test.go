@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"net"
 	"runtime"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -268,5 +271,108 @@ func TestSteadyStateRXAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(200, cycle)
 	if avg > 0 {
 		t.Fatalf("steady-state cycle allocates %.2f objects/run, want 0", avg)
+	}
+}
+
+// TestLoopbackFloodBothWays floods a back-to-back pair in both
+// directions with shrunken socket buffers, so each side keeps finding
+// its peer's socket full. A TX write made under the port lock wedged
+// such a pair for good: A's Enqueue parked writing to B while holding
+// A's lock, B's drain goroutine needed B's lock to file a frame, and
+// B's Enqueue held that lock while parked writing to A, whose drain
+// goroutine waited on A's lock. Every Enqueue must now return within
+// the write bound and frames must keep flowing both ways.
+func TestLoopbackFloodBothWays(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	a, b, err := Loopback(Config{Name: "floodA", LinkGbps: 1000},
+		Config{Name: "floodB", LinkGbps: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Port{a, b} {
+		for _, c := range []net.Conn{p.rxConn, p.txConn} {
+			rc, err := c.(syscall.Conn).SyscallConn()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc.Control(func(fd uintptr) {
+				syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_SNDBUF, 1024)
+				syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, 1024)
+			})
+		}
+	}
+
+	const floodFor = 500 * time.Millisecond
+	var attempts [2]uint64
+	flood := func(i int, p *Port) {
+		free := make([]*pktbuf.Packet, 0, 64)
+		for j := 0; j < cap(free); j++ {
+			free = append(free, testBuf())
+		}
+		for j := 0; j < 32; j++ {
+			if err := p.Post(testBuf()); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		frame := testFrame(64, byte(i))
+		pkts := make([]*pktbuf.Packet, 32)
+		descs := make([]nic.Descriptor, 32)
+		for end := time.Now().Add(floodFor); time.Now().Before(end); {
+			free = free[:len(free)+p.Reap(0, free[len(free):cap(free)])]
+			for len(free) > 0 {
+				tx := free[len(free)-1]
+				tx.SetFrame(frame)
+				attempts[i]++
+				if !p.Enqueue(nil, tx, 0) {
+					break
+				}
+				free = free[:len(free)-1]
+			}
+			// Reposting what was polled keeps 32 buffers posted, under
+			// the ring bound, so Post cannot refuse.
+			n := p.Poll(nil, 0, len(pkts), pkts, descs)
+			for _, rx := range pkts[:n] {
+				p.Post(rx)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for i, p := range []*Port{a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			flood(i, p)
+		}()
+	}
+	finished := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	select {
+	case <-finished:
+	case <-time.After(floodFor + 10*time.Second):
+		// The ports' locks may be held by the parked writers, so free
+		// them by closing the sockets underneath rather than via Close.
+		for _, p := range []*Port{a, b} {
+			p.rxConn.Close()
+			p.txConn.Close()
+		}
+		t.Fatal("flooding a loopback pair both ways wedged: an Enqueue never returned")
+	}
+	defer a.Close()
+	defer b.Close()
+
+	for i, pair := range [][2]*Port{{a, b}, {b, a}} {
+		tx, rx := pair[0].TXStats(), pair[1].RXStats()
+		if tx.Sent == 0 || rx.Delivered == 0 {
+			t.Errorf("%s -> %s made no progress: tx %+v, rx %+v",
+				pair[0].PortName(), pair[1].PortName(), tx, rx)
+		}
+		if got := tx.Sent + tx.DropFull + tx.DropTransient + tx.DropOversize; got != attempts[i] {
+			t.Errorf("%s TX ledger %+v sums to %d, want the %d Enqueue calls",
+				pair[0].PortName(), tx, got, attempts[i])
+		}
 	}
 }
