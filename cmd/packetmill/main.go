@@ -49,7 +49,6 @@ import (
 	"packetmill/internal/overload"
 	"packetmill/internal/simrand"
 	"packetmill/internal/stats"
-	"packetmill/internal/telemetry"
 	"packetmill/internal/testbed"
 	"packetmill/internal/trace"
 	"packetmill/internal/trafficgen"
@@ -316,7 +315,7 @@ func main() {
 			note("; spread: %d runs, throughput %.2f–%.2f Gbps\n",
 				*repeats, spread.MinGbps, spread.MaxGbps)
 		} else {
-			report(res)
+			testbed.WriteText(os.Stdout, res)
 			fmt.Printf("spread:         %d runs, throughput %.2f–%.2f Gbps\n",
 				*repeats, spread.MinGbps, spread.MaxGbps)
 		}
@@ -331,7 +330,7 @@ func main() {
 	if jsonReport {
 		emitJSON(res, configName(*configPath, *builtin))
 	} else {
-		report(res)
+		testbed.WriteText(os.Stdout, res)
 	}
 	writeTrace(base.Trace, *traceOut, note)
 	writeFlows(res.Flows, *flowsOut, note)
@@ -435,31 +434,18 @@ func runWire(p *core.Pipeline, base testbed.Options, rxAddr, txAddr, metricsAddr
 		fatal(err)
 	}
 	fmt.Printf("wire session:   %d scheduling rounds, %d packets moved\n", st.Steps, st.Packets)
-	var arx nic.RXQueueStats
-	var atx nic.TXQueueStats
-	for c, devs := range devsPerCore {
-		rxs, txs := devs[0].RXStats(), devs[0].TXStats()
-		if len(devsPerCore) > 1 {
+	if len(devsPerCore) > 1 {
+		// Per-core device rows; the totals come from the ledger below.
+		for c, devs := range devsPerCore {
+			rxs, txs := devs[0].RXStats(), devs[0].TXStats()
 			fmt.Printf("core %d rx:      %d frames (%d bytes), drops: nobuf=%d full=%d runt=%d\n",
 				c, rxs.Delivered, rxs.Bytes, rxs.DropNoBuf, rxs.DropFull, rxs.DropRunt)
-			fmt.Printf("core %d tx:      %d frames (%d bytes), drops: full=%d transient=%d oversize=%d\n",
-				c, txs.Sent, txs.Bytes, txs.DropFull, txs.DropTransient, txs.DropOversize)
+			fmt.Printf("core %d tx:      %d frames (%d bytes), ring refusals=%d, drops: error=%d transient=%d oversize=%d\n",
+				c, txs.Sent, txs.Bytes, txs.DropFull, txs.DropError, txs.DropTransient, txs.DropOversize)
 		}
-		arx.Delivered += rxs.Delivered
-		arx.Bytes += rxs.Bytes
-		arx.DropNoBuf += rxs.DropNoBuf
-		arx.DropFull += rxs.DropFull
-		arx.DropRunt += rxs.DropRunt
-		atx.Sent += txs.Sent
-		atx.Bytes += txs.Bytes
-		atx.DropFull += txs.DropFull
-		atx.DropTransient += txs.DropTransient
-		atx.DropOversize += txs.DropOversize
 	}
-	fmt.Printf("rx:             %d frames (%d bytes), drops: nobuf=%d full=%d runt=%d\n",
-		arx.Delivered, arx.Bytes, arx.DropNoBuf, arx.DropFull, arx.DropRunt)
-	fmt.Printf("tx:             %d frames (%d bytes), drops: full=%d transient=%d oversize=%d\n",
-		atx.Sent, atx.Bytes, atx.DropFull, atx.DropTransient, atx.DropOversize)
+	res := d.WireResult()
+	testbed.WriteText(os.Stdout, res)
 	if fanout != nil {
 		fmt.Printf("fanout:         %d bucket migrations, %d socket reopens\n",
 			fanout.Rebalances(), fanout.Reopens())
@@ -467,7 +453,7 @@ func runWire(p *core.Pipeline, base testbed.Options, rxAddr, txAddr, metricsAddr
 	if err := d.Audit(); err != nil {
 		fatal(err)
 	}
-	writeFlows(d.WireFlowRecords(), flowsOut, note)
+	writeFlows(res.Flows, flowsOut, note)
 }
 
 // runPcap mills a capture offline: frames come from a file, traverse the
@@ -535,7 +521,7 @@ func runPcap(p *core.Pipeline, base testbed.Options, in, out string,
 		emitJSON(res, configName(configPath, builtin))
 		return
 	}
-	report(res)
+	testbed.WriteText(os.Stdout, res)
 }
 
 // configName labels the run for the JSON report's config echo.
@@ -618,68 +604,6 @@ func loadConfig(path, builtin string) (string, error) {
 	default:
 		return "", fmt.Errorf("unknown builtin %q", builtin)
 	}
-}
-
-func report(res *testbed.Result) {
-	fmt.Printf("throughput:     %.2f Gbps (%.3f Mpps)\n", res.Gbps(), res.Mpps())
-	fmt.Printf("latency:        median %.1f µs, p99 %.1f µs, max %.1f µs\n",
-		stats.MicrosFromNS(res.Latency.Quantile(0.5)),
-		stats.MicrosFromNS(res.Latency.Quantile(0.99)),
-		stats.MicrosFromNS(res.Latency.Max()))
-	fmt.Printf("offered/lost:   %d offered, %d on wire, %d dropped\n",
-		res.Offered, res.TxWire, res.Dropped)
-	if res.Dropped > 0 {
-		fmt.Printf("drop reasons:   %s\n", res.DropsByReason.String())
-	}
-	if fs := res.FaultStats; fs != nil {
-		fmt.Printf("injected:       wire-drops=%d link-down=%d corruptions=%d truncations=%d\n",
-			fs.WireDrops, fs.LinkDownDrops, fs.Corruptions, fs.Truncations)
-	}
-	for coreID, rt := range res.Routers {
-		if rt == nil {
-			continue
-		}
-		for _, inst := range rt.Instances {
-			fr, ok := inst.El.(telemetry.FlowReporter)
-			if !ok {
-				continue
-			}
-			ct := fr.FlowReport()
-			var evicted uint64
-			for _, v := range ct.Evictions {
-				evicted += v
-			}
-			fmt.Printf("conntrack[%d]:   %s: %d/%d flows, %d inserted, %d expired, %d evicted, %d refused\n",
-				coreID, inst.Name, ct.FlowTableEntries, ct.Capacity,
-				ct.Insertions, ct.Expirations, evicted, ct.RefusedFull+ct.RefusedInvalid)
-			if ct.PortsInUse > 0 || ct.PortsRecycled > 0 {
-				fmt.Printf("nat ports[%d]:   %s: %d in use, %d recycled\n",
-					coreID, inst.Name, ct.PortsInUse, ct.PortsRecycled)
-			}
-		}
-	}
-	for core, st := range res.Overload {
-		fmt.Printf("overload[%d]:    policy=%s state=%s transitions=%d admits=%d sheds=%d pauses=%d paused=%.1fµs\n",
-			core, st.Policy, st.State, st.Transitions, st.AdmitOK, st.Sheds,
-			st.Pauses, stats.MicrosFromNS(st.PausedNS))
-	}
-	for class, h := range res.ClassLat {
-		if h == nil || h.Count() == 0 {
-			continue
-		}
-		fmt.Printf("class %d:        %d frames, p50 %.1f µs, p99 %.1f µs\n",
-			class, h.Count(), stats.MicrosFromNS(h.Quantile(0.5)), stats.MicrosFromNS(h.Quantile(0.99)))
-	}
-	c := res.Counters
-	perPkt := func(v float64) float64 {
-		if res.Packets == 0 {
-			return 0
-		}
-		return v / float64(res.Packets)
-	}
-	fmt.Printf("perf:           IPC %.2f, %.0f instr/pkt, %.2f LLC-loads/pkt, %.3f LLC-misses/pkt, %.3f TLB-walks/pkt\n",
-		c.IPC(), perPkt(float64(c.Instructions)), perPkt(float64(c.LLCLoads)),
-		perPkt(float64(c.LLCLoadMisses)), perPkt(float64(c.TLBMisses)))
 }
 
 func fatal(err error) {

@@ -375,9 +375,15 @@ func (pt *Port) SpareCount() int { return len(pt.spare) }
 // SetupRX fills the receive ring with buffers: from the mempool under
 // stock bindings, from the application's provided buffers under exchange
 // bindings. It charges nothing (initialization phase).
+//
+// Frames already pending do not count against the fill. On a simulated
+// queue none can be pending before the first post; on a live wire port,
+// frames that arrived before setup wait in slots and need posted buffers
+// to be polled into. Counting them would leave a port whose ring filled
+// before setup with no buffers to poll into: a wedged session.
 func (pt *Port) SetupRX() error {
 	rxq := pt.Dev
-	want := rxq.RXRingSize() - rxq.PostedCount() - rxq.PendingCount()
+	want := rxq.RXRingSize() - rxq.PostedCount()
 	for i := 0; i < want; i++ {
 		var b *pktbuf.Packet
 		if pt.Bind.ExchangesBuffers() {

@@ -296,8 +296,8 @@ func TestTxBurstSendsAndRecycles(t *testing.T) {
 	if pt.Pool.Available() != availAfterRx+n {
 		t.Fatalf("pool did not recover: %d vs %d+%d", pt.Pool.Available(), availAfterRx, n)
 	}
-	if r.nic.Stats.TxSent != uint64(n) {
-		t.Fatalf("TxSent = %d", r.nic.Stats.TxSent)
+	if r.nic.TX(0).Stats.Sent != uint64(n) {
+		t.Fatalf("Sent = %d", r.nic.TX(0).Stats.Sent)
 	}
 }
 

@@ -258,6 +258,22 @@ func (c *Core) Snapshot() Counters {
 	}
 }
 
+// Add accumulates another core's counters into ct, for a multicore
+// total: event counts and idle time sum (LLC counters are per-core
+// scoped, so their sum is the system-wide total); WallNS, a shared
+// window rather than an event count, takes the longer of the two.
+func (ct *Counters) Add(o Counters) {
+	ct.Instructions += o.Instructions
+	ct.BusyCycles += o.BusyCycles
+	ct.WallNS = max(ct.WallNS, o.WallNS)
+	ct.IdleNS += o.IdleNS
+	ct.TLBMisses += o.TLBMisses
+	ct.LLCLoads += o.LLCLoads
+	ct.LLCLoadMisses += o.LLCLoadMisses
+	ct.LLCStores += o.LLCStores
+	ct.LLCStoreMisses += o.LLCStoreMisses
+}
+
 // Delta returns the counter difference b - a, assuming b was captured after a.
 func (b Counters) Delta(a Counters) Counters {
 	return Counters{

@@ -46,21 +46,9 @@ func DefaultConfig(name string) Config {
 	}
 }
 
-// Stats aggregates adapter counters.
-type Stats struct {
-	RxDelivered uint64 // frames accepted into an RX ring
-	RxDropNoBuf uint64 // dropped: no posted buffer
-	RxDropFull  uint64 // dropped: completion ring full
-	RxDropRunt  uint64 // dropped: below the 60-byte Ethernet minimum
-	TxSent      uint64
-	TxDropFull  uint64
-	TxBytes     uint64
-	RxBytes     uint64
-}
-
-// RXQueueStats scopes the receive counters to one queue, so a collapsed
-// RSS distribution or a single starving queue is visible instead of being
-// averaged away in the adapter-global Stats.
+// RXQueueStats are one queue's receive counters. Counters live per
+// queue only, so a collapsed RSS distribution or a single starving
+// queue stays visible; adapter totals are sums over the queues.
 type RXQueueStats struct {
 	Delivered uint64
 	Bytes     uint64
@@ -69,14 +57,20 @@ type RXQueueStats struct {
 	DropRunt  uint64
 }
 
-// TXQueueStats scopes the transmit counters to one queue.
+// TXQueueStats are one queue's transmit counters.
 type TXQueueStats struct {
-	Sent     uint64
-	Bytes    uint64
+	Sent  uint64
+	Bytes uint64
+	// DropFull counts Enqueue refusals because the ring was full. The
+	// driver keeps the frame and retries it, so a refusal is not a lost
+	// frame; the driver books its own loss when its backlog overflows.
 	DropFull uint64
+	// DropError counts frames lost to a hard send error (a live wire
+	// whose peer is gone). The buffer still cycles back through Reap.
+	DropError uint64
 	// DropTransient counts frames lost to transient send errors
 	// (EAGAIN/ENOBUFS on a live wire) that stayed failed after
-	// bounded-backoff retries — distinct from ring-full drops.
+	// bounded-backoff retries — distinct from ring refusals.
 	DropTransient uint64
 	// DropOversize counts frames refused at the TX boundary for
 	// exceeding the port MTU — a configuration error, not congestion.
@@ -263,8 +257,7 @@ type RXQueue struct {
 	cqBase     memsim.Addr
 	cqHead     uint64 // absolute index of next completion the driver reads
 	lastCompNS float64
-	// Stats are this queue's own counters (the adapter-global Stats
-	// aggregate every queue).
+	// Stats are this queue's own counters.
 	Stats RXQueueStats
 }
 
@@ -294,11 +287,10 @@ type txEntry struct {
 
 // NIC is one simulated adapter.
 type NIC struct {
-	Cfg   Config
-	Stats Stats
-	sys   *cache.System
-	rx    []*RXQueue
-	tx    []*TXQueue
+	Cfg Config
+	sys *cache.System
+	rx  []*RXQueue
+	tx  []*TXQueue
 	// OnDepart, when set, observes every transmitted packet with its
 	// wire departure time — the testbed's latency probe.
 	OnDepart func(p *pktbuf.Packet, departNS float64)
@@ -467,17 +459,14 @@ func (n *NIC) Deliver(q int, frame []byte, ns float64) bool {
 	if len(frame) < MinFrameSize {
 		// The MAC discards runts (e.g. fault-truncated frames) before
 		// they consume a descriptor.
-		n.Stats.RxDropRunt++
 		rxq.Stats.DropRunt++
 		return false
 	}
 	if rxq.completed.len() >= n.Cfg.RXRingSize {
-		n.Stats.RxDropFull++
 		rxq.Stats.DropFull++
 		return false
 	}
 	if rxq.posted.len() == 0 {
-		n.Stats.RxDropNoBuf++
 		rxq.Stats.DropNoBuf++
 		return false
 	}
@@ -516,8 +505,6 @@ func (n *NIC) Deliver(q int, frame []byte, ns float64) bool {
 	desc := Descriptor{Len: len(frame), Queue: q, RSSHash: rssHash(frame),
 		VlanTCI: FrameVlanTCI(frame)}
 	rxq.completed.push(rxEntry{pkt: pkt, desc: desc, readyNS: ready})
-	n.Stats.RxDelivered++
-	n.Stats.RxBytes += uint64(len(frame))
 	rxq.Stats.Delivered++
 	rxq.Stats.Bytes += uint64(len(frame))
 	return true
@@ -604,7 +591,6 @@ var inf = math.Inf(1)
 // write to core. It returns false when the TX ring is full.
 func (q *TXQueue) Enqueue(core *machine.Core, p *pktbuf.Packet, nowNS float64) bool {
 	if q.inflight.len() >= q.nic.Cfg.TXRingSize {
-		q.nic.Stats.TxDropFull++
 		q.Stats.DropFull++
 		return false
 	}
@@ -644,8 +630,6 @@ func (q *TXQueue) Enqueue(core *machine.Core, p *pktbuf.Packet, nowNS float64) b
 	}
 
 	q.inflight.push(txEntry{pkt: p, departNS: depart})
-	q.nic.Stats.TxSent++
-	q.nic.Stats.TxBytes += uint64(p.Len())
 	q.Stats.Sent++
 	q.Stats.Bytes += uint64(p.Len())
 	if q.nic.OnDepart != nil {
@@ -669,9 +653,20 @@ func (q *TXQueue) Reap(nowNS float64, out []*pktbuf.Packet) int {
 // InflightCount reports frames queued but not yet departed.
 func (q *TXQueue) InflightCount() int { return q.inflight.len() }
 
-// String summarizes the adapter state for debugging.
+// String summarizes the adapter state for debugging, summed over its
+// queues.
 func (n *NIC) String() string {
+	var rx RXQueueStats
+	var tx TXQueueStats
+	for q := range n.rx {
+		r, t := n.rx[q].Stats, n.tx[q].Stats
+		rx.Delivered += r.Delivered
+		rx.DropNoBuf += r.DropNoBuf
+		rx.DropFull += r.DropFull
+		rx.DropRunt += r.DropRunt
+		tx.Sent += t.Sent
+		tx.DropFull += t.DropFull
+	}
 	return fmt.Sprintf("%s: rx=%d dropNoBuf=%d dropFull=%d dropRunt=%d tx=%d txDrop=%d",
-		n.Cfg.Name, n.Stats.RxDelivered, n.Stats.RxDropNoBuf, n.Stats.RxDropFull,
-		n.Stats.RxDropRunt, n.Stats.TxSent, n.Stats.TxDropFull)
+		n.Cfg.Name, rx.Delivered, rx.DropNoBuf, rx.DropFull, rx.DropRunt, tx.Sent, tx.DropFull)
 }

@@ -67,8 +67,8 @@ func TestDeliverDropsWithoutBuffers(t *testing.T) {
 	if r.nic.Deliver(0, testFrame(64), 0) {
 		t.Fatal("delivered with no posted buffer")
 	}
-	if r.nic.Stats.RxDropNoBuf != 1 {
-		t.Fatalf("drop counter = %d", r.nic.Stats.RxDropNoBuf)
+	if r.nic.RX(0).Stats.DropNoBuf != 1 {
+		t.Fatalf("drop counter = %d", r.nic.RX(0).Stats.DropNoBuf)
 	}
 }
 
@@ -88,8 +88,8 @@ func TestDeliverDropsWhenRingFull(t *testing.T) {
 	if r.nic.Deliver(0, testFrame(64), 5) {
 		t.Fatal("delivered into full ring")
 	}
-	if r.nic.Stats.RxDropFull != 1 {
-		t.Fatalf("RxDropFull = %d", r.nic.Stats.RxDropFull)
+	if q.Stats.DropFull != 1 {
+		t.Fatalf("DropFull = %d", q.Stats.DropFull)
 	}
 }
 
@@ -221,8 +221,8 @@ func TestTxRingFullDrops(t *testing.T) {
 	if tx.Enqueue(r.core, p, 0) {
 		t.Fatal("enqueued into full ring")
 	}
-	if r.nic.Stats.TxDropFull != 1 {
-		t.Fatalf("TxDropFull = %d", r.nic.Stats.TxDropFull)
+	if tx.Stats.DropFull != 1 {
+		t.Fatalf("DropFull = %d", tx.Stats.DropFull)
 	}
 }
 

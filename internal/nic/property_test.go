@@ -59,7 +59,7 @@ func TestRxConservationProperty(t *testing.T) {
 				post()
 			}
 		}
-		dropped := n.Stats.RxDropNoBuf + n.Stats.RxDropFull
+		dropped := q.Stats.DropNoBuf + q.Stats.DropFull
 		if offered != delivered+dropped {
 			t.Logf("offered %d != delivered %d + dropped %d", offered, delivered, dropped)
 			return false
@@ -68,7 +68,7 @@ func TestRxConservationProperty(t *testing.T) {
 			t.Logf("delivered %d != polled %d + pending %d", delivered, polled, q.PendingCount())
 			return false
 		}
-		if n.Stats.RxDelivered != delivered {
+		if q.Stats.Delivered != delivered {
 			return false
 		}
 		return true

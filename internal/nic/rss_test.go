@@ -1,6 +1,8 @@
 package nic
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"packetmill/internal/netpkt"
@@ -130,14 +132,14 @@ func TestDeliverShortVLANFrameSafe(t *testing.T) {
 	if r.nic.Deliver(0, frame, 0) {
 		t.Fatal("15-byte frame accepted")
 	}
-	if r.nic.Stats.RxDropRunt != 1 || r.nic.RX(0).Stats.DropRunt != 1 {
-		t.Fatalf("runt not counted per NIC and per queue: %+v %+v",
-			r.nic.Stats, r.nic.RX(0).Stats)
+	if r.nic.RX(0).Stats.DropRunt != 1 || !strings.Contains(r.nic.String(), " dropRunt=1 ") {
+		t.Fatalf("runt not counted per queue and in the NIC summary: %+v, %s",
+			r.nic.RX(0).Stats, r.nic)
 	}
 }
 
 // TestPerQueueStatsPartitionNICStats delivers across queues and checks
-// the per-queue ledgers sum to the adapter-global ones.
+// each queue's ledger, and that the adapter summary reports their sums.
 func TestPerQueueStatsPartitionNICStats(t *testing.T) {
 	cfg := DefaultConfig("split")
 	cfg.NumQueues = 4
@@ -164,8 +166,8 @@ func TestPerQueueStatsPartitionNICStats(t *testing.T) {
 		delivered += st.Delivered
 		noBuf += st.DropNoBuf
 	}
-	if delivered != r.nic.Stats.RxDelivered || noBuf != r.nic.Stats.RxDropNoBuf {
-		t.Fatalf("per-queue sums (%d, %d) != NIC stats (%d, %d)",
-			delivered, noBuf, r.nic.Stats.RxDelivered, r.nic.Stats.RxDropNoBuf)
+	want := fmt.Sprintf("split: rx=%d dropNoBuf=%d ", delivered, noBuf)
+	if got := r.nic.String(); !strings.HasPrefix(got, want) {
+		t.Fatalf("NIC summary %q, want the per-queue sums %q...", got, want)
 	}
 }

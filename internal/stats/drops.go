@@ -35,7 +35,8 @@ const (
 	// violated at run time.
 	DropPoolExhausted
 	// DropTxRingFull: the TX ring stayed full and the driver-level
-	// backpressure queue overflowed.
+	// backpressure queue overflowed. A ring refusal alone is not a loss:
+	// the driver keeps the frame in its backlog and retries it.
 	DropTxRingFull
 	// DropWireFault: the fault engine discarded the frame on the wire
 	// (random or bursty loss).
@@ -76,6 +77,10 @@ const (
 	// inconsistent with tracked state (strict mode: e.g. a non-SYN TCP
 	// segment for a flow the table has never seen).
 	DropFlowTableInvalid
+	// DropTxError: a live wire send failed with a hard error (the peer
+	// is gone), as opposed to congestion (tx-transient). The frame is
+	// lost; its buffer still comes back to the pool.
+	DropTxError
 
 	// NumDropReasons bounds the taxonomy.
 	NumDropReasons
@@ -99,6 +104,7 @@ var dropNames = [NumDropReasons]string{
 	"flow-table-full",
 	"flow-table-no-port",
 	"flow-table-invalid",
+	"tx-error",
 }
 
 // IsOverload reports whether r belongs to the DropOverload* family —

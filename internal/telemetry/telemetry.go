@@ -227,14 +227,16 @@ func (t *Tracker) Buckets() []*Bucket {
 	return out
 }
 
-// AttributedCycles sums the busy cycles charged to all buckets.
+// AttributedCycles sums the busy cycles charged to all buckets, in
+// first-seen order: float addition is not associative, so a map-order
+// sum would change the report's last digits between identical runs.
 func (t *Tracker) AttributedCycles() float64 {
 	if t == nil {
 		return 0
 	}
 	var sum float64
-	for _, b := range t.buckets {
-		sum += b.Delta.BusyCycles
+	for _, k := range t.order {
+		sum += t.buckets[k].Delta.BusyCycles
 	}
 	return sum
 }

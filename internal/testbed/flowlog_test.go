@@ -348,11 +348,11 @@ func TestWireFlowsExport(t *testing.T) {
 	}
 
 	// The post-session cut reconciles against the wire's own counters.
-	recs := sv.d.WireFlowRecords()
+	led := sv.d.WireResult()
+	recs := led.Flows
 	if len(recs) == 0 {
-		t.Fatal("WireFlowRecords returned nothing")
+		t.Fatal("the wire session's ledger cut no flow records")
 	}
-	led := sv.d.wireLedger(sv.d.wireEngines)
 	rec := flowlog.Reconcile(recs, led.TxWire+led.Dropped, led.TxWire, &led.DropsByReason)
 	if !rec.Exact {
 		t.Fatalf("wire reconciliation inexact: %+v", rec)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"packetmill/internal/click"
+	"packetmill/internal/elements"
 	"packetmill/internal/flowlog"
 	"packetmill/internal/nf"
 	"packetmill/internal/nic"
@@ -134,25 +136,35 @@ func TestWireSurfacesAgree(t *testing.T) {
 		reason(stats.DropRxRingFull)+reason(stats.DropRxRunt))
 	mTx, mDrops := sumSeries(prom["packetmill_tx_packets_total"]), sumSeries(drops)
 
-	led := sv.d.wireLedger(sv.d.wireEngines)
-	rc := flowlog.Reconcile(sv.d.WireFlowRecords(), led.Offered, led.TxWire, &led.DropsByReason)
+	led := sv.d.WireResult()
+	rc := flowlog.Reconcile(led.Flows, led.Offered, led.TxWire, &led.DropsByReason)
 	if !rc.Exact {
 		t.Errorf("flow records do not reconcile with the wire ledger: %+v", rc)
 	}
 	if reason(stats.DropRxRunt) == 0 || rep.Totals.TxWire == 0 {
 		t.Fatalf("session too clean to compare: %+v, runts %v", rep.Totals, reason(stats.DropRxRunt))
 	}
+	// The text report renders the same ledger.
+	var text strings.Builder
+	WriteText(&text, led)
+	var tOffered, tTx, tDrops uint64
+	if i := strings.Index(text.String(), "offered/lost:"); i < 0 {
+		t.Fatalf("text report has no offered/lost line:\n%s", text.String())
+	} else if _, err := fmt.Sscanf(text.String()[i:], "offered/lost: %d offered, %d on wire, %d dropped",
+		&tOffered, &tTx, &tDrops); err != nil {
+		t.Fatalf("text report offered/lost line: %v\n%s", err, text.String())
+	}
 	for _, c := range []struct {
-		what                   string
-		report, metrics, flows uint64
+		what                         string
+		report, metrics, flows, text uint64
 	}{
-		{"offered", rep.Totals.Offered, mOffered, rc.Offered},
-		{"tx", rep.Totals.TxWire, mTx, rc.TxWire},
-		{"drops", rep.Totals.Dropped, mDrops, rc.Drops},
+		{"offered", rep.Totals.Offered, mOffered, rc.Offered, tOffered},
+		{"tx", rep.Totals.TxWire, mTx, rc.TxWire, tTx},
+		{"drops", rep.Totals.Dropped, mDrops, rc.Drops, tDrops},
 	} {
-		if c.report != c.metrics || c.report != c.flows {
-			t.Errorf("%s disagrees: /report %d, /metrics %d, flow reconciliation %d",
-				c.what, c.report, c.metrics, c.flows)
+		if c.report != c.metrics || c.report != c.flows || c.report != c.text {
+			t.Errorf("%s disagrees: /report %d, /metrics %d, flow reconciliation %d, text report %d",
+				c.what, c.report, c.metrics, c.flows, c.text)
 		}
 	}
 
@@ -182,6 +194,89 @@ func TestWireSurfacesAgree(t *testing.T) {
 	}
 	if p99 > hi*(1+1e-9) || p99 < lo*(1-1.0/32) {
 		t.Errorf("/report p99 %.3g s outside the exported histogram's p99 bucket (%g, %g]", p99, lo, hi)
+	}
+}
+
+// TestWireTxRingFullConservation is the regression for the TX double
+// count: a DUT whose 4-slot TX ring drains at 50 Mbps refuses most
+// enqueues, and the PMD retries every refusal from the element backlog.
+// A refusal is not a lost frame, so the ledger must still balance,
+// offered == tx + drops, with tx-ring-full booked only when the
+// backlog overflowed. Booking each refusal as a drop once inflated 200
+// offered frames to 71 sent plus some 12,000 dropped.
+func TestWireTxRingFullConservation(t *testing.T) {
+	const nFrames = 200
+	gen, dut, err := wire.Loopback(
+		wire.Config{Name: "gen", RXRing: 1024, TXRing: 1024},
+		wire.Config{Name: "dut", RXRing: 1024, TXRing: 4, LinkGbps: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gen.Close()
+	defer dut.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	type served struct {
+		d   *DUT
+		err error
+	}
+	serveDone := make(chan served, 1)
+	go func() {
+		d, _, err := ServeWireGraph(ctx, mustParse(t, nf.Mirror(0, 32)),
+			Options{Model: click.XChange, Seed: 7},
+			[]nic.Port{dut}, 300*time.Millisecond, 0)
+		serveDone <- served{d, err}
+	}()
+
+	tx := pktbuf.NewPacket(make([]byte, 2300), 0, 128)
+	reap := make([]*pktbuf.Packet, 1)
+	for _, frame := range campusFrames(nFrames) {
+		tx.Reset(tx.OrigHeadroom())
+		tx.SetFrame(frame)
+		if !gen.Enqueue(nil, tx, 0) {
+			t.Fatal("generator Enqueue refused")
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for gen.Reap(0, reap) == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("generator TX buffer never came back")
+			}
+		}
+	}
+	sv := <-serveDone
+	if sv.err != nil {
+		t.Fatalf("wire serve: %v", sv.err)
+	}
+	if err := sv.d.Audit(); err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+
+	led := sv.d.WireResult()
+	refusals := dut.TXStats().DropFull
+	t.Logf("offered %d, tx %d, drops %s, ring refusals %d", led.Offered, led.TxWire,
+		led.DropsByReason.String(), refusals)
+	if led.Offered != nFrames {
+		t.Fatalf("ledger offered %d, sent %d", led.Offered, nFrames)
+	}
+	if led.Offered != led.TxWire+led.Dropped || led.Dropped != led.DropsByReason.Total() {
+		t.Fatalf("conservation: offered %d != tx %d + drops %d (%s; %d ring refusals)",
+			led.Offered, led.TxWire, led.Dropped, led.DropsByReason.String(), refusals)
+	}
+	var overflow uint64
+	for _, rt := range led.Routers {
+		for _, inst := range rt.Instances {
+			if td, ok := inst.El.(*elements.ToDPDKDevice); ok {
+				overflow += td.DropsFull
+			}
+		}
+	}
+	if got := led.DropsByReason.Get(stats.DropTxRingFull); got != overflow {
+		t.Errorf("tx-ring-full %d, want the element backlog's %d overflow drops", got, overflow)
+	}
+	if refusals <= overflow {
+		t.Fatalf("ring never refused beyond the backlog's overflow (%d refusals, %d overflow drops): the test exercised nothing",
+			refusals, overflow)
 	}
 }
 

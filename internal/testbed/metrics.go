@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"time"
 
-	"packetmill/internal/click"
 	"packetmill/internal/flowlog"
 	"packetmill/internal/stats"
 	"packetmill/internal/telemetry"
@@ -24,19 +23,20 @@ import (
 // fresh snapshots to the exporter.
 const metricsInterval = 500 * time.Millisecond
 
-// publishMetrics builds and publishes a snapshot when the exporter is
-// attached; a no-op otherwise.
-func (d *DUT) publishMetrics(engines []Engine, elapsed time.Duration) {
+// publishMetrics renders the ledger led as a snapshot and publishes it
+// when the exporter is attached; a no-op otherwise.
+func (d *DUT) publishMetrics(engines []Engine, led *Result) {
 	if d.Opts.Metrics == nil {
 		return
 	}
-	d.Opts.Metrics.Publish(d.wireSnapshot(engines, elapsed))
+	d.Opts.Metrics.Publish(d.wireSnapshot(engines, led))
 }
 
-// wireSnapshot assembles the exporter view: port counters, the drop
-// taxonomy, queue depths, latency and per-element duration histograms,
-// and the full telemetry report as JSON for /report.
-func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snapshot {
+// wireSnapshot renders the exporter view of the session ledger led: port
+// counters, the drop taxonomy, queue depths, latency and per-element
+// duration histograms, and the full telemetry report as JSON for
+// /report.
+func (d *DUT) wireSnapshot(engines []Engine, led *Result) *trace.Snapshot {
 	snap := &trace.Snapshot{}
 	add := func(name, help, typ string, labels [][2]string, v float64) {
 		snap.Samples = append(snap.Samples, trace.Sample{
@@ -44,9 +44,8 @@ func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snaps
 		})
 	}
 	add("packetmill_uptime_seconds", "Wall time since serving started.",
-		"gauge", nil, elapsed.Seconds())
+		"gauge", nil, led.Duration/1e9)
 
-	led := d.wireLedger(engines)
 	// Port counters and queue depths, in (core, port id) order so the
 	// exposition text is deterministic.
 	for c := range d.PortsFor {
@@ -108,8 +107,7 @@ func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snaps
 		"gauge", nil, float64(backlog))
 	// Overload control plane, one series per core (families appear only
 	// when the control plane is armed).
-	for c, ctl := range d.Ctls {
-		st := ctl.Status(float64(elapsed))
+	for c, st := range led.Overload {
 		cl := [][2]string{{"core", strconv.Itoa(c)}}
 		add("packetmill_health_state",
 			"Overload health state (0 healthy, 1 degraded, 2 overloaded, 3 recovering).",
@@ -122,7 +120,7 @@ func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snaps
 			"Frames admitted past RX admission control.", "counter", cl, float64(st.AdmitOK))
 		add("packetmill_backpressure_sources",
 			"Stages currently holding backpressure on this core.",
-			"gauge", cl, float64(ctl.PressureSources()))
+			"gauge", cl, float64(d.Ctls[c].PressureSources()))
 		add("packetmill_backpressure_pauses_total",
 			"RX pause intervals entered (lossless backpressure).",
 			"counter", cl, float64(st.Pauses))
@@ -182,7 +180,6 @@ func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snaps
 	// Flow records: verdict roll-ups, top flows, and the /flows body
 	// (families appear only when flow logging is armed).
 	if d.Opts.FlowLog != nil {
-		led.Flows = d.Opts.FlowLog.Records(&led.DropsByReason, led.TxWire)
 		sum := flowlog.Summarize(led.Flows)
 		// One family at a time: the exposition format requires a family's
 		// samples to stay contiguous.
@@ -241,92 +238,9 @@ func (d *DUT) wireSnapshot(engines []Engine, elapsed time.Duration) *trace.Snaps
 		}
 	}
 
-	snap.ReportJSON = d.wireReportJSON(engines, elapsed, led)
+	if d.Opts.Telemetry {
+		// Unmarshalable only on a bug; the exporter then serves "{}".
+		snap.ReportJSON, _ = json.Marshal(d.buildReport(led, nil))
+	}
 	return snap
-}
-
-// wireLedger is the one place a wire session's device, PMD, and engine
-// counters are folded into its conservation ledger: offered frames
-// (everything the devices received or dropped on RX), TX, the drop
-// taxonomy, and the end-to-end latency histogram. /metrics, /report, and
-// the flow-record cut all render from it.
-func (d *DUT) wireLedger(engines []Engine) *Result {
-	res := &Result{Latency: trace.NewHist()}
-	drops := &res.DropsByReason
-	for c := range d.PortsFor {
-		for id := 0; id < d.Opts.NICs; id++ {
-			port, ok := d.PortsFor[c][id]
-			if !ok {
-				continue
-			}
-			rxs, txs := port.Dev.RXStats(), port.Dev.TXStats()
-			res.Offered += rxs.Delivered + rxs.DropNoBuf + rxs.DropFull + rxs.DropRunt
-			res.Packets += txs.Sent
-			res.Bytes += txs.Bytes
-			drops.Add(stats.DropRxNoBuf, rxs.DropNoBuf)
-			drops.Add(stats.DropRxRingFull, rxs.DropFull)
-			drops.Add(stats.DropRxRunt, rxs.DropRunt)
-			drops.Add(stats.DropTxRingFull, txs.DropFull)
-			drops.Add(stats.DropTxTransient, txs.DropTransient)
-			drops.Add(stats.DropTxOversize, txs.DropOversize)
-			drops.Merge(&port.Drops)
-			res.Latency.Merge(port.LatHist)
-		}
-	}
-	for _, e := range engines {
-		if ds, ok := e.(dropStatser); ok {
-			drops.Merge(ds.DropStats())
-		}
-	}
-	res.TxWire = res.Packets
-	res.Dropped = drops.Total()
-	return res
-}
-
-// WireFlowRecords assembles the flow-record cut of a finished wire
-// session, reconciled against the session's drop ledger and TX total.
-// Nil when flow logging is not armed.
-func (d *DUT) WireFlowRecords() []flowlog.Record {
-	if d.Opts.FlowLog == nil {
-		return nil
-	}
-	led := d.wireLedger(d.wireEngines)
-	return d.Opts.FlowLog.Records(&led.DropsByReason, led.TxWire)
-}
-
-// wireReportJSON renders the same telemetry.Report a -report json run
-// would emit, against the session's ledger so far, for the exporter's
-// /report endpoint. Returns nil (the exporter serves "{}") when
-// telemetry is off.
-func (d *DUT) wireReportJSON(engines []Engine, elapsed time.Duration, res *Result) []byte {
-	if !d.Opts.Telemetry {
-		return nil
-	}
-	res.Duration = float64(elapsed)
-	// Engine index == core index on every wire path, so keep nil
-	// placeholders for non-Click engines to preserve the mapping.
-	for _, e := range engines {
-		var rt *click.Router
-		if ce, ok := e.(*clickEngine); ok {
-			rt = ce.rt
-		}
-		res.Routers = append(res.Routers, rt)
-	}
-	for _, ctl := range d.Ctls {
-		res.Overload = append(res.Overload, ctl.Status(float64(elapsed)))
-	}
-	for _, c := range d.Cores {
-		ct := c.Snapshot()
-		res.Counters.Instructions += ct.Instructions
-		res.Counters.BusyCycles += ct.BusyCycles
-		res.Counters.TLBMisses += ct.TLBMisses
-		res.Counters.LLCLoads += ct.LLCLoads
-		res.Counters.LLCLoadMisses += ct.LLCLoadMisses
-		res.Counters.WallNS = max(res.Counters.WallNS, ct.WallNS)
-	}
-	out, err := json.Marshal(d.buildReport(res, nil))
-	if err != nil {
-		return nil
-	}
-	return out
 }

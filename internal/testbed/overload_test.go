@@ -322,11 +322,12 @@ func TestSteadyStateZeroAllocsOverload(t *testing.T) {
 	if d.Ctl(0).Status(d.Cores[0].NowNS()).AdmitOK == 0 {
 		t.Fatal("admission control saw no frames during warmup")
 	}
-	var lastPolls, lastEmpty uint64
+	ob := d.newObserver(0)
 	next := 256
 	avg := testing.AllocsPerRun(50, func() {
 		pumpOne(d, eng, frames[next%len(frames)])
-		d.observeCore(eng, 0, d.Cores[0].NowNS(), &lastPolls, &lastEmpty)
+		ob.next = 0 // observe on every packet, not only on the dwell cadence
+		ob.step(d, eng, 0, d.Cores[0].NowNS())
 		next++
 	})
 	if avg != 0 {

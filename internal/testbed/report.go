@@ -1,10 +1,11 @@
 // Report assembly: folding the run's ledgers — per-core perf counters,
 // per-queue NIC/PMD counters, span attribution, interval snapshots — into
-// one telemetry.Report.
+// one telemetry.Report, and rendering a Result as the text report.
 package testbed
 
 import (
 	"fmt"
+	"io"
 
 	"packetmill/internal/flowlog"
 	"packetmill/internal/overload"
@@ -169,6 +170,74 @@ func (d *DUT) buildReport(res *Result, intervals []telemetry.Interval) *telemetr
 
 	r.BuildSpans(d.Trackers, coreBusy)
 	return r
+}
+
+// WriteText renders a Result as the human-readable run report: the
+// text counterpart of the telemetry report, for simulated runs and wire
+// sessions alike. The latency line is left out when nothing recorded
+// latency (a wire session without telemetry or the exporter).
+func WriteText(w io.Writer, res *Result) {
+	fmt.Fprintf(w, "throughput:     %.2f Gbps (%.3f Mpps)\n", res.Gbps(), res.Mpps())
+	if res.Latency.Count() > 0 {
+		fmt.Fprintf(w, "latency:        median %.1f µs, p99 %.1f µs, max %.1f µs\n",
+			stats.MicrosFromNS(res.Latency.Quantile(0.5)),
+			stats.MicrosFromNS(res.Latency.Quantile(0.99)),
+			stats.MicrosFromNS(res.Latency.Max()))
+	}
+	fmt.Fprintf(w, "offered/lost:   %d offered, %d on wire, %d dropped\n",
+		res.Offered, res.TxWire, res.Dropped)
+	if res.Dropped > 0 {
+		fmt.Fprintf(w, "drop reasons:   %s\n", res.DropsByReason.String())
+	}
+	if fs := res.FaultStats; fs != nil {
+		fmt.Fprintf(w, "injected:       wire-drops=%d link-down=%d corruptions=%d truncations=%d\n",
+			fs.WireDrops, fs.LinkDownDrops, fs.Corruptions, fs.Truncations)
+	}
+	for coreID, rt := range res.Routers {
+		if rt == nil {
+			continue
+		}
+		for _, inst := range rt.Instances {
+			fr, ok := inst.El.(telemetry.FlowReporter)
+			if !ok {
+				continue
+			}
+			ct := fr.FlowReport()
+			var evicted uint64
+			for _, v := range ct.Evictions {
+				evicted += v
+			}
+			fmt.Fprintf(w, "conntrack[%d]:   %s: %d/%d flows, %d inserted, %d expired, %d evicted, %d refused\n",
+				coreID, inst.Name, ct.FlowTableEntries, ct.Capacity,
+				ct.Insertions, ct.Expirations, evicted, ct.RefusedFull+ct.RefusedInvalid)
+			if ct.PortsInUse > 0 || ct.PortsRecycled > 0 {
+				fmt.Fprintf(w, "nat ports[%d]:   %s: %d in use, %d recycled\n",
+					coreID, inst.Name, ct.PortsInUse, ct.PortsRecycled)
+			}
+		}
+	}
+	for core, st := range res.Overload {
+		fmt.Fprintf(w, "overload[%d]:    policy=%s state=%s transitions=%d admits=%d sheds=%d pauses=%d paused=%.1fµs\n",
+			core, st.Policy, st.State, st.Transitions, st.AdmitOK, st.Sheds,
+			st.Pauses, stats.MicrosFromNS(st.PausedNS))
+	}
+	for class, h := range res.ClassLat {
+		if h == nil || h.Count() == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "class %d:        %d frames, p50 %.1f µs, p99 %.1f µs\n",
+			class, h.Count(), stats.MicrosFromNS(h.Quantile(0.5)), stats.MicrosFromNS(h.Quantile(0.99)))
+	}
+	c := res.Counters
+	perPkt := func(v float64) float64 {
+		if res.Packets == 0 {
+			return 0
+		}
+		return v / float64(res.Packets)
+	}
+	fmt.Fprintf(w, "perf:           IPC %.2f, %.0f instr/pkt, %.2f LLC-loads/pkt, %.3f LLC-misses/pkt, %.3f TLB-walks/pkt\n",
+		c.IPC(), perPkt(float64(c.Instructions)), perPkt(float64(c.LLCLoads)),
+		perPkt(float64(c.LLCLoadMisses)), perPkt(float64(c.TLBMisses)))
 }
 
 // flowSummaryReport maps a record set onto the report's verdict-keyed

@@ -64,23 +64,18 @@ type Options struct {
 	// FixedSize, when >0 and Traffic is nil, offers fixed-size frames.
 	FixedSize int
 
-	// Warmup is the number of departures excluded from measurement.
-	Warmup int
-
 	// DescPool sizes the X-Change descriptor pool (default 64 ≈ burst +
 	// software queue, per §3.1).
 	DescPool int
 	// DescPoolFIFO recycles descriptors in FIFO order (ablation: cycling
 	// like mbufs instead of staying warm).
 	DescPoolFIFO bool
-	// MempoolSize sizes the per-port DPDK mempool beyond the RX ring.
-	MempoolSize int
 	// NICConfig overrides the adapter model; nil uses the ConnectX-5
 	// defaults.
 	NICConfig *nic.Config
 	// DDIOWays overrides the LLC's DDIO window width (0 = default 8).
 	DDIOWays int
-	// InlineLTO controls conversion-function inlining (default true).
+	// NoLTO turns off conversion-function inlining (on by default).
 	NoLTO bool
 	// VectorizedPMD enables the SIMD receive path (compressed CQEs);
 	// rejected under the X-Change model, like the paper's prototype.
@@ -109,12 +104,10 @@ type Options struct {
 	WatchdogNS float64
 
 	// Telemetry enables the observability layer: per-core span trackers
-	// on every router, per-queue counters, interval snapshots, and a full
-	// telemetry.Report on the Result.
+	// on every router, per-queue counters, interval snapshots (every
+	// snapshotIntervalNS of simulated time), and a full telemetry.Report
+	// on the Result.
 	Telemetry bool
-	// SnapshotIntervalNS paces the interval snapshots (default 100 µs of
-	// simulated time when Telemetry is on).
-	SnapshotIntervalNS float64
 
 	// Trace, when non-nil, arms the per-packet flight recorder: the PMD
 	// samples 1-in-N received packets deterministically and every stage
@@ -147,6 +140,15 @@ type Options struct {
 	Seed uint64
 }
 
+// Run parameters no caller varies.
+const (
+	// mempoolSlack sizes each per-port DPDK mempool beyond its RX ring.
+	mempoolSlack = 2048
+	// snapshotIntervalNS paces the telemetry interval snapshots (100 µs
+	// of simulated time).
+	snapshotIntervalNS = 100e3
+)
+
 func (o Options) withDefaults() Options {
 	if o.FreqGHz == 0 {
 		o.FreqGHz = 2.3
@@ -163,20 +165,11 @@ func (o Options) withDefaults() Options {
 	if o.Packets == 0 {
 		o.Packets = 50000
 	}
-	if o.Warmup == 0 {
-		o.Warmup = o.Packets / 10
-	}
 	if o.DescPool == 0 {
 		o.DescPool = 64
 	}
-	if o.MempoolSize == 0 {
-		o.MempoolSize = 2048
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Telemetry && o.SnapshotIntervalNS <= 0 {
-		o.SnapshotIntervalNS = 100e3 // 100 µs of simulated time
 	}
 	return o
 }
@@ -185,12 +178,15 @@ func (o Options) withDefaults() Options {
 type Result struct {
 	stats.Throughput
 	// Latency is the wire-to-wire latency histogram over the
-	// measurement window (post-warmup departures). Percentiles carry the
+	// measurement window (post-warmup departures; a wire session has no
+	// warmup and records latency only with telemetry or the exporter
+	// on). Percentiles carry the
 	// histogram's ≤3% bucket quantization; count, min, mean, and max are
 	// exact.
 	Latency *trace.Hist
-	// Counters is the perf delta over the measurement window, aggregated
-	// across cores (LLC counters are system-wide).
+	// Counters is the perf delta over the measurement window (the whole
+	// session on the wire), aggregated across cores (LLC counters are
+	// system-wide).
 	Counters machine.Counters
 	// Offered is the total frames offered; Dropped the frames lost at
 	// the NIC or inside the engine (Dropped == DropsByReason.Total()).
@@ -207,7 +203,8 @@ type Result struct {
 	FaultStats *faults.InjectedStats
 	// Prof is the metadata access profile (when Options.Profile).
 	Prof *layout.OrderProfile
-	// Routers are the per-core built engines (for inspection).
+	// Routers are the per-core built engines (for inspection), nil for
+	// a core whose engine is not a Click router.
 	Routers []*click.Router
 	// Telemetry is the full observability report (when Options.Telemetry).
 	Telemetry *telemetry.Report
@@ -256,10 +253,9 @@ type DUT struct {
 	// plane is off). NewDUT attaches them to every PMD port and
 	// BuildRouters installs them into the routers.
 	Ctls []*overload.Controller
-	// wireEngines is the engine set of the current/last wire session,
-	// kept so post-session readers (WireFlowRecords) can fold engine
-	// drop ledgers without re-threading the slice.
-	wireEngines []Engine
+	// wireRes is the ledger of the last finished wire session
+	// (WireResult).
+	wireRes *Result
 }
 
 // machFor returns core c's machine: its own on the multicore wire path,
@@ -452,7 +448,7 @@ func (d *DUT) buildPortOn(portID int, dev nic.Port) (*dpdk.Port, error) {
 		}
 		spec.SeparateMbuf = false
 		pool, err := dpdk.NewMempool(fmt.Sprintf("ov%d-%d", portID, dev.QueueID()),
-			ringSize+o.MempoolSize, d.Huge, spec)
+			ringSize+mempoolSlack, d.Huge, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -470,7 +466,7 @@ func (d *DUT) buildPortOn(portID int, dev nic.Port) (*dpdk.Port, error) {
 
 	default: // Copying
 		pool, err := dpdk.NewMempool(fmt.Sprintf("mb%d-%d", portID, dev.QueueID()),
-			ringSize+o.MempoolSize, d.Huge, dpdk.DefaultBufSpec())
+			ringSize+mempoolSlack, d.Huge, dpdk.DefaultBufSpec())
 		if err != nil {
 			return nil, err
 		}
@@ -601,7 +597,6 @@ func RunGraph(g *click.Graph, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Routers = routers
 	if o.Profile && len(routers) > 0 {
 		res.Prof = routers[0].Prof
 	}
@@ -812,7 +807,8 @@ type driver struct {
 	offered uint64
 
 	// Measurement probes. lat is the wire-to-wire latency histogram
-	// over post-warmup departures (Result.Latency).
+	// (Result.Latency) over the departures after the warmup prefix, the
+	// first Packets/10.
 	lat            *trace.Hist
 	departed       uint64
 	measuredPkts   uint64
@@ -829,66 +825,11 @@ type driver struct {
 	lastSampleNS float64
 	lastSampleTx uint64
 
-	// Overload control-plane observation cadence (per core) and the
-	// per-class latency probes. Empty-poll rates are deltas between
-	// observations, so the last-seen counters ride along.
-	obsEveryNS       float64
-	nextObsNS        []float64
-	lastPolls        []uint64
-	lastEmpty        []uint64
+	// Overload control plane: one observer per core and the per-class
+	// latency probes.
+	observers        []observer
 	classLat         []*trace.Hist
 	watchdogRestarts uint64
-}
-
-// observe feeds core ci's instantaneous signals to its overload
-// controller on the dwell-derived cadence.
-func (dr *driver) observe(ci int, now float64) {
-	if dr.d.Ctl(ci) == nil || now < dr.nextObsNS[ci] {
-		return
-	}
-	dr.nextObsNS[ci] = now + dr.obsEveryNS
-	dr.d.observeCore(dr.engines[ci], ci, now, &dr.lastPolls[ci], &dr.lastEmpty[ci])
-}
-
-// observeCore reads core c's instantaneous signals — worst ring/queue
-// occupancy, empty-poll rate since the last observation, latency p99 —
-// and feeds them to the core's overload controller. lastPolls/lastEmpty
-// carry the PMD poll counters between observations for the rate delta.
-// Shared between the simulated driver and the wall-clock wire loop.
-func (d *DUT) observeCore(eng Engine, c int, now float64, lastPolls, lastEmpty *uint64) {
-	ctl := d.Ctl(c)
-	if ctl == nil {
-		return
-	}
-	var occ, p99 float64
-	var polls, empty uint64
-	for _, port := range d.PortsFor[c] {
-		dev := port.Dev
-		if f := float64(dev.PendingCount()) / float64(dev.RXRingSize()); f > occ {
-			occ = f
-		}
-		if f := float64(dev.InflightCount()) / float64(dev.TXRingSize()); f > occ {
-			occ = f
-		}
-		polls += port.Stats.Polls
-		empty += port.Stats.EmptyPolls
-		if port.LatHist != nil {
-			if v := port.LatHist.Quantile(0.99); v > p99 {
-				p99 = v
-			}
-		}
-	}
-	if oc, ok := eng.(occupier); ok {
-		if f := oc.Occupancy(); f > occ {
-			occ = f
-		}
-	}
-	var emptyRate float64
-	if dp := polls - *lastPolls; dp > 0 {
-		emptyRate = float64(empty-*lastEmpty) / float64(dp)
-	}
-	*lastPolls, *lastEmpty = polls, empty
-	ctl.Observe(now, overload.Signals{Occupancy: occ, EmptyPollRate: emptyRate, P99NS: p99})
 }
 
 // pull advances source n to its next frame.
@@ -1006,7 +947,7 @@ func (dr *driver) txBacklog() int {
 }
 
 func (dr *driver) sample(now float64) {
-	if !dr.o.Telemetry || dr.o.SnapshotIntervalNS <= 0 || now < dr.nextSampleNS {
+	if !dr.o.Telemetry || now < dr.nextSampleNS {
 		return
 	}
 	var pendRx, posted uint64
@@ -1030,7 +971,7 @@ func (dr *driver) sample(now float64) {
 	dr.intervals = append(dr.intervals, iv)
 	dr.lastSampleNS, dr.lastSampleTx = now, dr.departed
 	for now >= dr.nextSampleNS {
-		dr.nextSampleNS += dr.o.SnapshotIntervalNS
+		dr.nextSampleNS += snapshotIntervalNS
 	}
 }
 
@@ -1050,19 +991,13 @@ func (d *DUT) Drive(engines []Engine) (*Result, error) {
 		measureStartNS: -1,
 		lat:            trace.NewHist(),
 		startCounters:  make([]machine.Counters, o.Cores),
-		warmup:         uint64(o.Warmup),
-		nextSampleNS:   o.SnapshotIntervalNS,
+		warmup:         uint64(o.Packets / 10),
+		nextSampleNS:   snapshotIntervalNS,
+	}
+	for c := 0; c < o.Cores; c++ {
+		dr.observers = append(dr.observers, d.newObserver(c))
 	}
 	if len(d.Ctls) > 0 {
-		// Observe a few times per dwell window so the state machine sees
-		// fresh signals without perturbing the steady-state loop.
-		dr.obsEveryNS = d.Ctls[0].DwellNS() / 4
-		if dr.obsEveryNS <= 0 {
-			dr.obsEveryNS = 12.5e3
-		}
-		dr.nextObsNS = make([]float64, o.Cores)
-		dr.lastPolls = make([]uint64, o.Cores)
-		dr.lastEmpty = make([]uint64, o.Cores)
 		dr.classLat = make([]*trace.Hist, overload.NumClasses)
 		for i := range dr.classLat {
 			dr.classLat[i] = trace.NewHist()
@@ -1155,7 +1090,7 @@ func (dr *driver) run() (*Result, error) {
 		now := core.NowNS()
 		dr.deliverUntil(now)
 		dr.sample(now)
-		dr.observe(ci, now)
+		dr.observers[ci].step(d, engines[ci], ci, now)
 		moved := engines[ci].Step(core, now)
 		if moved > 0 || dr.offered != lastOffered || dr.departed != lastDeparted {
 			lastProgressNS = now
@@ -1223,86 +1158,30 @@ func (dr *driver) run() (*Result, error) {
 		}
 	}
 
-	res := &Result{
-		Latency: dr.lat,
-		Offered: dr.offered,
+	end := 0.0
+	for _, c := range d.Cores {
+		end = max(end, c.NowNS())
 	}
+	// The ledger books everything the devices, PMDs, and engines saw;
+	// only the fault engine's pre-MAC drops are the driver's own. The
+	// measurement window (post-warmup departures) replaces the ledger's
+	// whole-run Packets, Bytes, and Latency.
+	res := d.ledger(engines, end, &dr.wireDrops, dr.startCounters)
 	res.Packets = dr.measuredPkts
 	res.Bytes = dr.measuredBytes
+	res.Latency = dr.lat
 	if dr.lastDepartNS > dr.measureStartNS && dr.measureStartNS >= 0 {
 		res.Duration = dr.lastDepartNS - dr.measureStartNS
 	}
-	// Aggregate per-core counters over the measurement window. LLC
-	// counters are scoped to each core's own demand traffic, so summing
-	// them reproduces the system-wide totals.
-	for i, c := range d.Cores {
-		delta := c.Snapshot().Delta(dr.startCounters[i])
-		if i == 0 {
-			res.Counters = delta
-			continue
-		}
-		res.Counters.Instructions += delta.Instructions
-		res.Counters.BusyCycles += delta.BusyCycles
-		res.Counters.TLBMisses += delta.TLBMisses
-		res.Counters.LLCLoads += delta.LLCLoads
-		res.Counters.LLCLoadMisses += delta.LLCLoadMisses
-		res.Counters.LLCStores += delta.LLCStores
-		res.Counters.LLCStoreMisses += delta.LLCStoreMisses
-	}
-	// Drop taxonomy: every lost frame attributed to one reason, from the
-	// wire through the NIC, the PMD, and the engine.
-	res.DropsByReason.Merge(&dr.wireDrops)
-	for _, n := range d.NICs {
-		res.DropsByReason.Add(stats.DropRxNoBuf, n.Stats.RxDropNoBuf)
-		res.DropsByReason.Add(stats.DropRxRingFull, n.Stats.RxDropFull)
-		res.DropsByReason.Add(stats.DropRxRunt, n.Stats.RxDropRunt)
-	}
-	for _, ports := range d.PortsFor {
-		for _, port := range ports {
-			res.DropsByReason.Merge(&port.Drops)
-		}
-	}
-	for _, e := range engines {
-		if ds, ok := e.(dropStatser); ok {
-			res.DropsByReason.Merge(ds.DropStats())
-		}
-	}
-	res.Dropped = res.DropsByReason.Total()
-	res.TxWire = dr.departed
 	if dr.fe != nil {
 		st := dr.fe.Injected
 		res.FaultStats = &st
 	}
 	if len(d.Ctls) > 0 {
-		end := 0.0
-		for _, c := range d.Cores {
-			if c.NowNS() > end {
-				end = c.NowNS()
-			}
-		}
-		for _, ctl := range d.Ctls {
-			res.Overload = append(res.Overload, ctl.Status(end))
-		}
 		res.WatchdogRestarts = dr.watchdogRestarts
 		res.ClassLat = dr.classLat
 	}
-	if o.FlowLog != nil {
-		// Cut the run's flow records against the final ledgers, before
-		// the report so the telemetry summary sees them.
-		res.Flows = o.FlowLog.Records(&res.DropsByReason, res.TxWire)
-	}
 	if o.Telemetry {
-		// Callers that drive engines directly (without Run) still get the
-		// per-element report sections keyed off the routers.
-		if res.Routers == nil {
-			for _, e := range engines {
-				var rt *click.Router
-				if ce, ok := e.(*clickEngine); ok {
-					rt = ce.rt
-				}
-				res.Routers = append(res.Routers, rt)
-			}
-		}
 		res.Telemetry = d.buildReport(res, dr.intervals)
 	}
 	return res, nil

@@ -123,7 +123,6 @@ func (d *DUT) ServeWire(ctx context.Context, engines []Engine,
 	if len(engines) != len(d.Cores) {
 		return WireServeStats{}, fmt.Errorf("testbed: %d engines for %d cores", len(engines), len(d.Cores))
 	}
-	d.wireEngines = engines
 	start := time.Now()
 	// On the wire the flight recorder timestamps events with wall time
 	// (the simulated calendar does not advance against real sockets).
@@ -209,7 +208,7 @@ serve:
 		if publish && now-lastPublish >= metricsInterval {
 			lastPublish = now
 			gate.Lock()
-			d.publishMetrics(engines, now)
+			d.publishMetrics(engines, d.wireResult(engines, now))
 			gate.Unlock()
 		}
 		if moved == 0 {
@@ -219,12 +218,13 @@ serve:
 	}
 	stop.Store(true)
 	wg.Wait()
-	// Cores are joined: the drain and the final snapshot run
-	// single-threaded over quiescent state. The snapshot lets a scrape
-	// after the session (the CI check does this) see the totals, not a
-	// half-second-old view.
+	// Cores are joined: the drain, the session's final ledger, and the
+	// last snapshot run single-threaded over quiescent state. The
+	// snapshot renders that same ledger, so a scrape after the session
+	// sees what WireResult returns, not a half-second-old view.
 	d.drainWire(engines, start)
-	d.publishMetrics(engines, time.Since(start))
+	d.wireRes = d.wireResult(engines, time.Since(start))
+	d.publishMetrics(engines, d.wireRes)
 	for i := 1; i < len(prog); i++ {
 		st.Steps += prog[i].steps.Load()
 		st.Packets += prog[i].packets.Load()
@@ -248,34 +248,22 @@ type coreProgress struct {
 	_        [104]byte
 }
 
-// coreLoop is one core's serving state: its engine and the overload
-// observation cadence, which runs against the wall clock at the same
-// dwell-derived fraction the simulated driver uses.
+// coreLoop is one core's serving state: its engine and its overload
+// observer, stepped on the wall clock.
 type coreLoop struct {
-	d                  *DUT
-	ci                 int
-	eng                Engine
-	obsEvery, nextObs  time.Duration
-	obsPolls, obsEmpty uint64
+	d   *DUT
+	ci  int
+	eng Engine
+	obs observer
 }
 
 func (d *DUT) newCoreLoop(engines []Engine, ci int) *coreLoop {
-	cl := &coreLoop{d: d, ci: ci, eng: engines[ci]}
-	if len(d.Ctls) > 0 {
-		cl.obsEvery = time.Duration(d.Ctls[0].DwellNS() / 4)
-		if cl.obsEvery <= 0 {
-			cl.obsEvery = 12500 * time.Nanosecond
-		}
-	}
-	return cl
+	return &coreLoop{d: d, ci: ci, eng: engines[ci], obs: d.newObserver(ci)}
 }
 
 // step runs one scheduling round of the core at wall offset now.
 func (cl *coreLoop) step(now time.Duration) int {
-	if cl.obsEvery > 0 && now >= cl.nextObs {
-		cl.nextObs = now + cl.obsEvery
-		cl.d.observeCore(cl.eng, cl.ci, float64(now), &cl.obsPolls, &cl.obsEmpty)
-	}
+	cl.obs.step(cl.d, cl.eng, cl.ci, float64(now))
 	return cl.eng.Step(cl.d.Cores[cl.ci], float64(now))
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"packetmill/internal/click"
 	"packetmill/internal/mill"
+	"packetmill/internal/nf"
 	"packetmill/internal/nic"
 	"packetmill/internal/pktbuf"
 	"packetmill/internal/stats"
@@ -241,5 +242,56 @@ func dumpPcap(t *testing.T, path string, frames [][]byte) {
 	}
 	if err := w.Flush(); err != nil {
 		t.Logf("artifact dump: %v", err)
+	}
+}
+
+// TestWireServesFramesQueuedBeforeSetup: frames that fill a live port's
+// RX ring before the DUT is built must still be served. The PMD once
+// counted those pending frames as posted buffers and posted none, so
+// nothing could ever be polled and the session idled out having moved
+// nothing (seen as the multicore exhibit's 1-core row reading 0 frames
+// when its generator outran DUT setup).
+func TestWireServesFramesQueuedBeforeSetup(t *testing.T) {
+	const ring = 16
+	gen, dut, err := wire.Loopback(wire.Config{Name: "gen", RXRing: 64},
+		wire.Config{Name: "dut", RXRing: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gen.Close()
+	defer dut.Close()
+	tx := pktbuf.NewPacket(make([]byte, 2300), 0, 128)
+	reap := make([]*pktbuf.Packet, 1)
+	for _, frame := range campusFrames(ring) {
+		tx.Reset(tx.OrigHeadroom())
+		tx.SetFrame(frame)
+		if !gen.Enqueue(nil, tx, 0) {
+			t.Fatal("generator Enqueue refused")
+		}
+		for gen.Reap(0, reap) == 0 {
+			runtime.Gosched()
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for dut.PendingCount() < ring {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d frames reached the DUT ring", dut.PendingCount(), ring)
+		}
+		runtime.Gosched()
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	d, _, err := ServeWireGraph(ctx, mustParse(t, nf.Mirror(0, 32)),
+		Options{Model: click.XChange, Seed: 7}, []nic.Port{dut}, 200*time.Millisecond, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Audit(); err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+	if led := d.WireResult(); led.Offered != ring || led.TxWire != ring {
+		t.Fatalf("offered %d, tx %d, want %d each (drops %s)",
+			led.Offered, led.TxWire, ring, led.DropsByReason.String())
 	}
 }

@@ -470,7 +470,7 @@ func (p *Port) Enqueue(core *machine.Core, pkt *pktbuf.Packet, nowNS float64) bo
 			if isTransient(err) {
 				p.txStats.DropTransient++
 			} else {
-				p.txStats.DropFull++
+				p.txStats.DropError++
 			}
 			p.pushInflight(txRec{pkt: pkt, departWall: now})
 			return true

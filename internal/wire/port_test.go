@@ -370,7 +370,7 @@ func TestLoopbackFloodBothWays(t *testing.T) {
 			t.Errorf("%s -> %s made no progress: tx %+v, rx %+v",
 				pair[0].PortName(), pair[1].PortName(), tx, rx)
 		}
-		if got := tx.Sent + tx.DropFull + tx.DropTransient + tx.DropOversize; got != attempts[i] {
+		if got := tx.Sent + tx.DropFull + tx.DropError + tx.DropTransient + tx.DropOversize; got != attempts[i] {
 			t.Errorf("%s TX ledger %+v sums to %d, want the %d Enqueue calls",
 				pair[0].PortName(), tx, got, attempts[i])
 		}

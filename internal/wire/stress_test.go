@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"net"
 	"runtime"
 	"sync"
@@ -9,8 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"packetmill/internal/click"
+	_ "packetmill/internal/elements"
+	"packetmill/internal/nf"
 	"packetmill/internal/nic"
 	"packetmill/internal/pktbuf"
+	"packetmill/internal/stats"
+	"packetmill/internal/testbed"
 )
 
 // flakyConn fails every fourth write with a transient errno. Real
@@ -28,6 +34,83 @@ func (c *flakyConn) Write(b []byte) (int, error) {
 		return 0, syscall.ENOBUFS
 	}
 	return c.Conn.Write(b)
+}
+
+// deadConn fails every write with a hard (non-transient) error: the
+// peer is gone, so nothing is retried.
+type deadConn struct{ net.Conn }
+
+func (deadConn) Write([]byte) (int, error) { return 0, syscall.EPIPE }
+
+// TestTXHardErrorBooksTxError: a frame lost to a hard write error is a
+// loss of its own kind. It advances DropError, never the ring-refusal
+// counter DropFull (a refusal the driver retries), its buffer still
+// comes back through Reap, and a serving DUT's ledger books it under
+// tx-error while offered == tx + drops still holds.
+func TestTXHardErrorBooksTxError(t *testing.T) {
+	// deadPort wires a port whose RX is fed through the returned conn and
+	// whose every TX write fails hard.
+	deadPort := func() (*Port, net.Conn) {
+		rxNear, rxFar, err := Socketpair()
+		if err != nil {
+			t.Fatal(err)
+		}
+		txNear, txFar, err := Socketpair()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewPort(Config{Name: "dead0"}, rxNear, deadConn{txNear})
+		t.Cleanup(func() { p.Close(); rxFar.Close(); txFar.Close() })
+		return p, rxFar
+	}
+
+	p, _ := deadPort()
+	b := testBuf()
+	b.SetFrame(testFrame(120, 1))
+	if !p.Enqueue(nil, b, 0) {
+		t.Fatal("Enqueue refused with ring space")
+	}
+	if s := p.TXStats(); s.DropError != 1 || s.DropFull != 0 || s.Sent != 0 {
+		t.Fatalf("TXStats = %+v, want one hard-error drop, no refusal, no send", s)
+	}
+	reap := make([]*pktbuf.Packet, 1)
+	waitCond(t, "hard-error reap", func() bool { return p.Reap(0, reap) == 1 })
+	if reap[0] != b {
+		t.Fatal("hard-error buffer not recycled")
+	}
+
+	// Under a serving DUT every mirrored frame fails the same way.
+	const nFrames = 20
+	p, feed := deadPort()
+	for i := 0; i < nFrames; i++ {
+		if _, err := feed.Write(testFrame(120, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitCond(t, "frames received", func() bool { return p.PendingCount() == nFrames })
+	g, err := click.Parse(nf.Mirror(0, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	d, _, err := testbed.ServeWireGraph(ctx, g, testbed.Options{Model: click.XChange, Seed: 3},
+		[]nic.Port{p}, 100*time.Millisecond, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Audit(); err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+	led := d.WireResult()
+	s := p.TXStats()
+	if got := led.DropsByReason.Get(stats.DropTxError); got != nFrames || s.DropError != nFrames || s.DropFull != 0 {
+		t.Fatalf("ledger tx-error %d, port TX stats %+v, want %d hard-error drops", got, s, nFrames)
+	}
+	if led.Offered != nFrames || led.Offered != led.TxWire+led.Dropped {
+		t.Fatalf("conservation: offered %d != tx %d + drops %d (%s)",
+			led.Offered, led.TxWire, led.Dropped, led.DropsByReason.String())
+	}
 }
 
 // TestPortConcurrentStress hammers one wire.Port from many goroutines —
@@ -194,7 +277,7 @@ func TestPortConcurrentStress(t *testing.T) {
 		t.Fatalf("buffer conservation violated: %d accepted, %d reaped (leaked %d)", a, r, int64(a)-int64(r))
 	}
 	s := p.TXStats()
-	if got, want := s.Sent+s.DropTransient+s.DropOversize+s.DropFull, accepted.Load()+refused.Load(); got != want {
+	if got, want := s.Sent+s.DropTransient+s.DropOversize+s.DropFull+s.DropError, accepted.Load()+refused.Load(); got != want {
 		t.Fatalf("TX ledger %+v sums to %d, want %d (accepted %d + refused %d)",
 			s, got, want, accepted.Load(), refused.Load())
 	}
