@@ -447,8 +447,7 @@ func runWire(p *core.Pipeline, base testbed.Options, rxAddr, txAddr, metricsAddr
 	res := d.WireResult()
 	testbed.WriteText(os.Stdout, res)
 	if fanout != nil {
-		fmt.Printf("fanout:         %d bucket migrations, %d socket reopens\n",
-			fanout.Rebalances(), fanout.Reopens())
+		fmt.Printf("fanout:         %d socket reopens\n", fanout.Reopens())
 	}
 	if err := d.Audit(); err != nil {
 		fatal(err)

@@ -29,6 +29,19 @@ import (
 // Key is the flow 5-tuple, shared with the cuckoo table.
 type Key = cuckoo.Key
 
+// Canonical orders a bidirectional 5-tuple so both directions of a
+// conversation map to one entry; swapped reports whether this packet
+// traveled the reverse (responder→initiator) direction.
+func Canonical(k Key) (canon Key, swapped bool) {
+	a := uint64(k.SrcIP)<<16 | uint64(k.SrcPort)
+	b := uint64(k.DstIP)<<16 | uint64(k.DstPort)
+	if a <= b {
+		return k, false
+	}
+	return Key{SrcIP: k.DstIP, DstIP: k.SrcIP,
+		SrcPort: k.DstPort, DstPort: k.SrcPort, Proto: k.Proto}, true
+}
+
 // entryBytes is the simulated footprint of one slab entry: one cache
 // line, like a packed C conntrack entry. Touching an entry charges a
 // line load through the simulated hierarchy, so a million-flow table
@@ -75,12 +88,9 @@ const (
 	CauseEvicted
 	// CauseDeleted: removed explicitly (flow teardown, test cleanup).
 	CauseDeleted
-	// CauseMigrated: exported to another core's shard; the flow lives
-	// on, so owners must not recycle its resources.
-	CauseMigrated
 )
 
-var causeNames = [...]string{"expired", "evicted", "deleted", "migrated"}
+var causeNames = [...]string{"expired", "evicted", "deleted"}
 
 // String names the cause the way trace events print it.
 func (c Cause) String() string {
@@ -176,8 +186,6 @@ type Stats struct {
 	// is self-contained.
 	RefusedFull    uint64
 	RefusedInvalid uint64
-	MigratedIn     uint64
-	MigratedOut    uint64
 	// MaxWheelLagNS is the worst wheel-time lag observed at an Advance.
 	MaxWheelLagNS float64
 }
@@ -195,7 +203,7 @@ func (s *Stats) EvictionsTotal() uint64 {
 type listHead struct{ head, tail int32 }
 
 // Shard is one core's flow table. Not safe for concurrent use — that is
-// the point: one shard per core, migration via explicit export/import.
+// the point: one shard per core, and RSS keeps each flow on its core.
 type Shard struct {
 	cfg   Config
 	table *cuckoo.Table
@@ -542,58 +550,8 @@ func (s *Shard) Delete(core *machine.Core, k Key) bool {
 	return true
 }
 
-// FlowRecord is a flow's portable state for core-to-core migration.
-type FlowRecord struct {
-	Key     Key
-	Value   uint64
-	State   State
-	Packets uint64
-	Bytes   uint64
-	Created float64
-	Last    float64
-}
-
-// Export removes a flow from the shard for migration: OnReclaim sees
-// CauseMigrated (so resources travel with the record instead of being
-// recycled) and the portable state is returned.
-func (s *Shard) Export(core *machine.Core, k Key) (FlowRecord, bool) {
-	v, ok := s.table.Lookup(core, k)
-	if !ok {
-		return FlowRecord{}, false
-	}
-	idx := int32(v)
-	e := &s.ents[idx]
-	rec := FlowRecord{Key: e.Key, Value: e.Value, State: e.State,
-		Packets: e.Packets, Bytes: e.Bytes, Created: e.Created, Last: e.Last}
-	s.stats.MigratedOut++
-	s.reclaim(core, idx, CauseMigrated, true)
-	return rec, true
-}
-
-// Import installs a migrated flow, preserving its state, payload, and
-// history. Under pressure it evicts like any other admission. The
-// deadline is re-armed against the flow's true last activity, so a
-// migration cannot extend an idle flow's life.
-func (s *Shard) Import(core *machine.Core, rec FlowRecord, nowNS float64) (*Entry, Verdict) {
-	idx, v := s.insert(core, rec.Key, rec.State, nowNS, rec.Value)
-	if v != VerdictNew {
-		return nil, v
-	}
-	e := &s.ents[idx]
-	e.Packets = rec.Packets
-	e.Bytes = rec.Bytes
-	e.Created = rec.Created
-	if rec.Last > 0 && rec.Last < e.Last {
-		e.Last = rec.Last
-		s.w.cancel(idx)
-		s.w.arm(idx, rec.Last+s.cfg.Timeouts.forState(e.State))
-	}
-	s.stats.MigratedIn++
-	return e, VerdictNew
-}
-
 // ForEachLive visits every live entry; return false from fn to stop.
-// Migration scans use it; it is O(capacity), not a datapath operation.
+// It is O(capacity), not a datapath operation.
 func (s *Shard) ForEachLive(fn func(e *Entry) bool) {
 	for i := range s.ents {
 		if s.ents[i].live {

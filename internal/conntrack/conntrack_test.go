@@ -234,85 +234,6 @@ func TestDeleteRecyclesSlot(t *testing.T) {
 	}
 }
 
-func TestExportImportPreservesFlow(t *testing.T) {
-	src := testShard(Config{Capacity: 64})
-	dst := testShard(Config{Capacity: 64})
-	recycled := 0
-	src.OnReclaim = func(e *Entry, c Cause) {
-		if c != CauseMigrated {
-			t.Fatalf("export cause %v", c)
-		}
-		recycled++
-	}
-	k := flowKey(1)
-	establish(src, k, 0)
-	rec, ok := src.Export(nil, k)
-	if !ok || src.Len() != 0 {
-		t.Fatal("export failed")
-	}
-	if recycled != 1 {
-		t.Fatal("OnReclaim not told about migration")
-	}
-	e, v := dst.Import(nil, rec, 5e4)
-	if v != VerdictNew || e.State != StateEstablished || e.Packets != 3 {
-		t.Fatalf("import: v=%v state=%v packets=%d", v, e.State, e.Packets)
-	}
-	// The migrated flow keeps tracking on the new shard.
-	if _, v := dst.Track(nil, k, netpkt.ProtoTCP, netpkt.TCPFlagACK, 6e4, 0); v != VerdictPass {
-		t.Fatalf("post-import track: %v", v)
-	}
-	ss, ds := src.StatsSnapshot(), dst.StatsSnapshot()
-	if ss.MigratedOut != 1 || ds.MigratedIn != 1 {
-		t.Fatalf("migration counters: out=%d in=%d", ss.MigratedOut, ds.MigratedIn)
-	}
-	// An imported idle flow expires against its true last activity
-	// (one established timeout past the final packet).
-	dst.Advance(nil, 2.5e11)
-	if dst.Len() != 0 {
-		t.Fatal("imported flow immortal")
-	}
-}
-
-func TestMigratorFollowsBucketMoves(t *testing.T) {
-	shards := []*Shard{testShard(Config{Capacity: 64}), testShard(Config{Capacity: 64})}
-	bucketOf := func(k Key) int { return int(k.SrcIP) % 16 }
-	m := NewMigrator(2, bucketOf)
-	// Shard 0 owns flows across buckets 0..15.
-	for i := uint32(0); i < 16; i++ {
-		establish(shards[0], flowKey(i), 0)
-	}
-	// The fanout moves buckets 3 and 7 to core 1.
-	m.OnMove(3, 0, 1)
-	m.OnMove(7, 0, 1)
-	m.OnMove(5, 1, 1) // self-move: ignored
-	if n := m.Collect(0, nil, shards[0]); n != 2 {
-		t.Fatalf("collected %d, want 2", n)
-	}
-	if shards[0].Len() != 14 {
-		t.Fatalf("source len=%d", shards[0].Len())
-	}
-	if n := m.Adopt(1, nil, shards[1], 1e6); n != 2 {
-		t.Fatalf("adopted %d", n)
-	}
-	for i := uint32(0); i < 16; i++ {
-		want := 0
-		if b := bucketOf(flowKey(i)); b == 3 || b == 7 {
-			want = 1
-		}
-		if _, ok := shards[want].Lookup(nil, flowKey(i)); !ok {
-			t.Fatalf("flow %d not on shard %d", i, want)
-		}
-	}
-	// Migrated flows arrive established — strict tracking continues.
-	posted, exported, adopted := m.Counters()
-	if posted != 2 || exported != 2 || adopted != 2 {
-		t.Fatalf("counters: %d %d %d", posted, exported, adopted)
-	}
-	if mv, rec := m.PendingFor(0); mv != 0 || rec != 0 {
-		t.Fatalf("pending after drain: %d %d", mv, rec)
-	}
-}
-
 func TestCanonicalMergesDirections(t *testing.T) {
 	fwd := Key{SrcIP: 0x0a000001, DstIP: 0x0b000001, SrcPort: 40000, DstPort: 443, Proto: 6}
 	rev := Key{SrcIP: 0x0b000001, DstIP: 0x0a000001, SrcPort: 443, DstPort: 40000, Proto: 6}

@@ -193,9 +193,6 @@ func (e *ConnTracker) BindFlowLog(fc *flowlog.Core) {
 	}
 }
 
-// Shard exposes the flow table for tests and migration wiring.
-func (e *ConnTracker) Shard() *conntrack.Shard { return e.shard }
-
 // FlowTableEntries reports current flow-table occupancy.
 func (e *ConnTracker) FlowTableEntries() int { return e.shard.Len() }
 

@@ -186,13 +186,10 @@ func parseTimeoutArgs(kw map[string]string, cfg *conntrack.Config) error {
 	return nil
 }
 
-// onReclaim is the shard's reclaim hook: when a flow leaves for any
-// reason but migration, return its external port to the pool and drop
-// the reverse mapping, keeping both tables in lockstep.
+// onReclaim is the shard's reclaim hook: when a flow leaves, return its
+// external port to the pool and drop the reverse mapping, keeping both
+// tables in lockstep.
 func (e *IPRewriter) onReclaim(ent *conntrack.Entry, cause conntrack.Cause) {
-	if cause == conntrack.CauseMigrated {
-		return
-	}
 	e.flog.FlowEndNAT(ent, cause, e.ExtIP.Uint32())
 	port := uint16(ent.Value)
 	e.reverse.Delete(e.cur, cuckoo.Key{
@@ -322,9 +319,6 @@ func (e *IPRewriter) BindFlowLog(fc *flowlog.Core) {
 	fc.BindShard(e.shard, false, e.ExtIP.Uint32())
 }
 
-// Shard exposes the flow table for tests and migration wiring.
-func (e *IPRewriter) Shard() *conntrack.Shard { return e.shard }
-
 // FlowTableEntries reports current flow-table occupancy — the gauge the
 // leak satellite watches.
 func (e *IPRewriter) FlowTableEntries() int { return e.shard.Len() }
@@ -351,8 +345,6 @@ func conntrackReportFromShard(s *conntrack.Shard) telemetry.ConntrackReport {
 		Expirations:      st.Expirations,
 		RefusedFull:      st.RefusedFull,
 		RefusedInvalid:   st.RefusedInvalid,
-		MigratedIn:       st.MigratedIn,
-		MigratedOut:      st.MigratedOut,
 		WheelLagUS:       st.MaxWheelLagNS / 1e3,
 	}
 	if st.EvictionsTotal() > 0 {

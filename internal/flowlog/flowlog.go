@@ -149,11 +149,9 @@ func (c *Core) BindShard(s *conntrack.Shard, canonical bool, natIP uint32) {
 }
 
 // FlowEnd records a flow leaving a ConnTracker table. Hot path:
-// nil-safe, allocation-free. Migrations are skipped — the importing
-// core's entry carries the flow's full history and will emit the one
-// record when the flow truly ends.
+// nil-safe, allocation-free.
 func (c *Core) FlowEnd(e *conntrack.Entry, cause conntrack.Cause) {
-	if c == nil || cause == conntrack.CauseMigrated {
+	if c == nil {
 		return
 	}
 	c.record(e, cause, 0, 0)
@@ -162,7 +160,7 @@ func (c *Core) FlowEnd(e *conntrack.Entry, cause conntrack.Cause) {
 // FlowEndNAT is FlowEnd for NAT-owned flows, tagging the record with
 // the translation (external IP + the port in Entry.Value).
 func (c *Core) FlowEndNAT(e *conntrack.Entry, cause conntrack.Cause, natIP uint32) {
-	if c == nil || cause == conntrack.CauseMigrated {
+	if c == nil {
 		return
 	}
 	c.record(e, cause, natIP, uint16(e.Value))

@@ -159,12 +159,6 @@ func TestRingOverflowConservesPackets(t *testing.T) {
 	if !rec.Exact {
 		t.Fatalf("reconciliation inexact: %+v", rec)
 	}
-	// Migrations must not emit records.
-	before := len(col.Records(&drops, totalPkts))
-	c.FlowEnd(&conntrack.Entry{Packets: 5}, conntrack.CauseMigrated)
-	if after := len(col.Records(&drops, totalPkts)); after != before {
-		t.Fatal("a migrated flow emitted a record")
-	}
 }
 
 // The full join: ended flows, live flows from a bound shard, element

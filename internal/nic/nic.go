@@ -172,6 +172,11 @@ type Port interface {
 	Reap(nowNS float64, out []*pktbuf.Packet) int
 	// InflightCount reports frames queued but not yet departed.
 	InflightCount() int
+	// HeldCount reports the driver buffers the queue pair holds: posted
+	// RX buffers, buffers carrying receptions not yet polled (if the
+	// backend lands frames in buffers), and TX frames in flight. A
+	// buffer audit balances against it.
+	HeldCount() int
 
 	// RXStats/TXStats snapshot the queue counters for telemetry.
 	RXStats() RXQueueStats
@@ -241,6 +246,12 @@ func (qp *QueuePair) Reap(nowNS float64, out []*pktbuf.Packet) int {
 
 // InflightCount implements Port.
 func (qp *QueuePair) InflightCount() int { return qp.tx.InflightCount() }
+
+// HeldCount implements Port: a completion holds the posted buffer the
+// adapter DMA'd its frame into.
+func (qp *QueuePair) HeldCount() int {
+	return qp.rx.PostedCount() + qp.rx.PendingCount() + qp.tx.InflightCount()
+}
 
 // RXStats implements Port.
 func (qp *QueuePair) RXStats() RXQueueStats { return qp.rx.Stats }
@@ -365,25 +376,6 @@ func (n *NIC) RSSQueue(frame []byte) int {
 // wire NIC computes the same hash so RSS-keyed engines behave identically
 // on real frames).
 func HashFrame(frame []byte) uint32 { return rssHash(frame) }
-
-// HashTuple computes the RSS hash an untagged IPv4 TCP/UDP frame with
-// this 5-tuple would receive from HashFrame — the same FNV walk over
-// the network-order src/dst IP and port bytes. Flow-affine subsystems
-// (conntrack migration chasing fanout bucket moves) use it to map a
-// flow key to its RSS bucket without a frame in hand.
-func HashTuple(srcIP, dstIP uint32, srcPort, dstPort uint16, proto uint8) uint32 {
-	var h uint32 = 2166136261
-	mix := func(b byte) { h = (h ^ uint32(b)) * 16777619 }
-	mix32 := func(v uint32) { mix(byte(v >> 24)); mix(byte(v >> 16)); mix(byte(v >> 8)); mix(byte(v)) }
-	mix16 := func(v uint16) { mix(byte(v >> 8)); mix(byte(v)) }
-	mix32(srcIP)
-	mix32(dstIP)
-	if proto == netpkt.ProtoTCP || proto == netpkt.ProtoUDP {
-		mix16(srcPort)
-		mix16(dstPort)
-	}
-	return h
-}
 
 // FrameVlanTCI extracts the outer VLAN TCI the adapter strips into the
 // descriptor, or 0 for untagged (or too-short) frames. Both shim TPIDs

@@ -533,8 +533,6 @@ type ConntrackReport struct {
 	Evictions      map[string]uint64 `json:"evictions,omitempty"`
 	RefusedFull    uint64            `json:"refused_full,omitempty"`
 	RefusedInvalid uint64            `json:"refused_invalid,omitempty"`
-	MigratedIn     uint64            `json:"migrated_in,omitempty"`
-	MigratedOut    uint64            `json:"migrated_out,omitempty"`
 	// WheelLagUS is the worst timer-wheel lag observed (budgeted expiry
 	// sweeps park behind wall time under a storm).
 	WheelLagUS float64 `json:"wheel_lag_us,omitempty"`

@@ -744,7 +744,7 @@ func (d *DUT) Audit() error {
 	held := 0
 	for _, ports := range d.PortsFor {
 		for _, port := range ports {
-			held += port.Dev.PostedCount() + port.Dev.PendingCount() + port.Dev.InflightCount()
+			held += port.Dev.HeldCount()
 		}
 	}
 	if d.Opts.Model == click.XChange {

@@ -102,8 +102,10 @@ type WireServeStats struct {
 	// Steps is the number of scheduling rounds executed (summed across
 	// cores on a multicore session).
 	Steps uint64
-	// Packets counts packets moved across all rounds (RX and TX both
-	// count, as in Engine.Step's contract).
+	// Packets sums the engines' Step results: packets moved, as each
+	// engine counts them. The Click engine counts a frame once when it
+	// is received and again only if a TX backlog retries it, so this is
+	// not a frame count; the ledger (WireResult) holds those.
 	Packets uint64
 }
 

@@ -295,3 +295,54 @@ func TestWireServesFramesQueuedBeforeSetup(t *testing.T) {
 			led.Offered, led.TxWire, ring, led.DropsByReason.String())
 	}
 }
+
+// TestWireAuditPendingFrames: a wire port's pending frame sits in a ring
+// slot, not in a posted buffer, so frames still queued when a session
+// stops hold no buffer. Audit must balance with 16 frames left pending
+// and no step taken, on both buffer models (the X-Change spare ledger and
+// the Copying mempool).
+func TestWireAuditPendingFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		model click.MetadataModel
+	}{
+		{"Copying", click.Copying},
+		{"XChange", click.XChange},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const pending = 16
+			gen, dut, err := wire.Loopback(wire.Config{Name: "gen"}, wire.Config{Name: "dut"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer gen.Close()
+			defer dut.Close()
+			d, err := NewWireDUT(Options{Model: tc.model, Seed: 7}, []nic.Port{dut})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx := pktbuf.NewPacket(make([]byte, 2300), 0, 128)
+			reap := make([]*pktbuf.Packet, 1)
+			for _, frame := range campusFrames(pending) {
+				tx.Reset(tx.OrigHeadroom())
+				tx.SetFrame(frame)
+				if !gen.Enqueue(nil, tx, 0) {
+					t.Fatal("generator Enqueue refused")
+				}
+				for gen.Reap(0, reap) == 0 {
+					runtime.Gosched()
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for dut.PendingCount() < pending {
+				if time.Now().After(deadline) {
+					t.Fatalf("only %d of %d frames reached the DUT ring", dut.PendingCount(), pending)
+				}
+				runtime.Gosched()
+			}
+			if err := d.Audit(); err != nil {
+				t.Fatalf("audit with %d frames pending: %v", pending, err)
+			}
+		})
+	}
+}

@@ -3,12 +3,13 @@
 // wire backend whose peer speaks to a single address. One reader
 // goroutine drains the shared socket, hashes each frame with the same
 // flow hash the simulated adapter uses (nic.HashFrame), and files it
-// into the owning core's RX ring through a bucket→queue indirection
-// table. The table gives the fallback the run-to-completion model needs
-// for skewed traffic: when one queue's load runs far ahead of the rest,
-// hot-but-movable buckets migrate to the coldest queue, so a single
-// elephant flow keeps its queue (and its frame ordering) while every
-// other flow drains off it.
+// into the owning core's RX ring: bucket = hash mod FanoutBuckets, queue
+// = bucket mod N, the spread of a freshly programmed NIC RETA. The map
+// is static, so a flow stays on one core for the whole session, that
+// core alone holds the flow's state (conntrack, NAT mappings), and the
+// cores never talk to each other. A skewed mix (one elephant flow)
+// loads its queue unevenly; that is the price of flow affinity, and the
+// demux does not chase it.
 //
 // The transmit side needs no demux: every queue port writes the shared
 // TX socket directly — datagram writes are atomic, and each queue keeps
@@ -19,24 +20,14 @@ package wire
 import (
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"packetmill/internal/nic"
 )
 
-const (
-	// FanoutBuckets is the indirection-table size (a power of two, like a
-	// hardware RSS RETA). 256 entries keep per-bucket load visible even
-	// with few flows.
-	FanoutBuckets = 256
-	// FanoutWindow is how many frames the reader observes between
-	// rebalance decisions.
-	FanoutWindow = 4096
-	// fanoutMaxMoves bounds bucket migrations per window so the table
-	// converges gradually instead of thrashing flows across cores.
-	fanoutMaxMoves = 4
-)
+// FanoutBuckets is the indirection-table size (a power of two, like a
+// hardware RSS RETA).
+const FanoutBuckets = 256
 
 // Fanout owns the shared sockets and the per-core queue ports. Create
 // with NewFanout, hand Queue(i) to core i's PMD, and Close once — the
@@ -51,23 +42,6 @@ type Fanout struct {
 	rxConn  net.Conn
 	closed  bool
 	reopens uint64
-
-	// Reader-owned state: the indirection table and the per-bucket load
-	// window. Only the reader goroutine touches these, so the hot path
-	// takes no lock and shares no cache line with the cores.
-	table   [FanoutBuckets]int
-	bucketN [FanoutBuckets]uint32
-	loads   []uint64
-
-	// OnMove, when set before traffic starts, observes every rebalance
-	// migration (bucket b moved from queue `from` to queue `to`). It is
-	// invoked on the reader goroutine between windows — flow-affine
-	// state planes (conntrack) hang their migration mailbox here so a
-	// moved bucket's flows follow it to the new owning core. It must
-	// not block: the reader is the shared RX path.
-	OnMove func(bucket, from, to int)
-
-	rebalances atomic.Uint64
 }
 
 // NewFanout builds n queue ports demuxed from rxConn and starts the
@@ -84,17 +58,12 @@ func NewFanout(cfg Config, n int, rxConn, txConn net.Conn) *Fanout {
 		rxConn: rxConn,
 		txConn: txConn,
 		done:   make(chan struct{}),
-		loads:  make([]uint64, n),
 	}
 	for q := 0; q < n; q++ {
 		qcfg := cfg
 		qcfg.Queue = q
 		qcfg.Redial = nil // redial belongs to the shared reader, not a queue
 		f.queues = append(f.queues, NewPort(qcfg, nil, txConn))
-	}
-	// Static spread to start, like a freshly programmed RETA.
-	for b := range f.table {
-		f.table[b] = b % n
 	}
 	if rxConn != nil {
 		go f.run()
@@ -109,9 +78,6 @@ func (f *Fanout) Queue(i int) *Port { return f.queues[i] }
 
 // NumQueues reports the fanout width.
 func (f *Fanout) NumQueues() int { return len(f.queues) }
-
-// Rebalances counts bucket migrations the skew fallback performed.
-func (f *Fanout) Rebalances() uint64 { return f.rebalances.Load() }
 
 // Reopens reports how many times the shared RX socket was redialed.
 func (f *Fanout) Reopens() uint64 {
@@ -142,12 +108,11 @@ func (f *Fanout) Close() error {
 	return err
 }
 
-// run is the reader: drain the shared socket, hash, demux, rebalance.
+// run is the reader: drain the shared socket, hash, demux.
 func (f *Fanout) run() {
 	defer close(f.done)
 	buf := make([]byte, f.cfg.MTU)
 	consecErrs := 0
-	window := 0
 	for {
 		f.mu.Lock()
 		conn := f.rxConn
@@ -193,70 +158,6 @@ func (f *Fanout) run() {
 		consecErrs = 0
 		frame := buf[:n]
 		b := nic.HashFrame(frame) & (FanoutBuckets - 1)
-		f.bucketN[b]++
-		f.queues[f.table[b]].deliver(frame)
-		if window++; window >= FanoutWindow {
-			window = 0
-			f.rebalance()
-		}
-	}
-}
-
-// rebalance is the skew fallback, run once per observation window on the
-// reader goroutine. When the hottest queue's load exceeds its fair share
-// by 25%, up to fanoutMaxMoves buckets migrate from it to the coldest
-// queue — always the largest bucket that fits in half the gap, so a move
-// shrinks the imbalance instead of inverting it. A bucket carrying a
-// single elephant flow never qualifies (it IS the gap); the mice migrate
-// off its queue instead, which is the best a flow-affine demux can do.
-func (f *Fanout) rebalance() {
-	n := len(f.queues)
-	if n > 1 {
-		for i := range f.loads {
-			f.loads[i] = 0
-		}
-		var total uint64
-		for b, q := range f.table {
-			f.loads[q] += uint64(f.bucketN[b])
-			total += uint64(f.bucketN[b])
-		}
-		for move := 0; move < fanoutMaxMoves && total > 0; move++ {
-			qMax, qMin := 0, 0
-			for q := 1; q < n; q++ {
-				if f.loads[q] > f.loads[qMax] {
-					qMax = q
-				}
-				if f.loads[q] < f.loads[qMin] {
-					qMin = q
-				}
-			}
-			// Within 25% of the fair share: balanced enough.
-			if 4*f.loads[qMax]*uint64(n) <= 5*total {
-				break
-			}
-			gap := f.loads[qMax] - f.loads[qMin]
-			best, bestN := -1, uint64(0)
-			for b := range f.table {
-				if f.table[b] != qMax {
-					continue
-				}
-				if c := uint64(f.bucketN[b]); c > bestN && c <= gap/2 {
-					best, bestN = b, c
-				}
-			}
-			if best < 0 {
-				break
-			}
-			f.table[best] = qMin
-			f.loads[qMax] -= bestN
-			f.loads[qMin] += bestN
-			f.rebalances.Add(1)
-			if f.OnMove != nil {
-				f.OnMove(best, qMax, qMin)
-			}
-		}
-	}
-	for b := range f.bucketN {
-		f.bucketN[b] = 0
+		f.queues[int(b)%len(f.queues)].deliver(frame)
 	}
 }

@@ -28,9 +28,9 @@ func fanoutOffered(q *Port) uint64 {
 }
 
 // TestFanoutDemux: every frame written to the shared socket lands on
-// exactly one queue, and the queue is the one the freshly programmed
-// indirection table (bucket = hash mod table size, queue = bucket mod N)
-// picks — software RSS, deterministic and flow-affine.
+// exactly one queue, and the queue is the one the static indirection
+// table (bucket = hash mod table size, queue = bucket mod N) picks —
+// software RSS, deterministic and flow-affine.
 func TestFanoutDemux(t *testing.T) {
 	near, far, err := Socketpair()
 	if err != nil {
@@ -61,66 +61,6 @@ func TestFanoutDemux(t *testing.T) {
 		if want[q] == 0 {
 			t.Fatalf("degenerate flow set: every flow hashed to one queue")
 		}
-	}
-}
-
-// TestFanoutRebalanceSkew is the elephant-flow fallback: one flow
-// carrying half the load pins its queue far above the fair share, and
-// the per-window rebalance must migrate mice buckets off that queue —
-// never the elephant's own bucket, which would break its ordering.
-func TestFanoutRebalanceSkew(t *testing.T) {
-	near, far, err := Socketpair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tiny rings, nobody polling: Delivered+DropFull still measures the
-	// load each queue was offered, which is all the test needs.
-	f := NewFanout(Config{Name: "skew", RXRing: 8}, 2, near, nil)
-	defer far.Close()
-
-	elephant := flowFrame(7)
-	eBucket := int(nic.HashFrame(elephant) & (FanoutBuckets - 1))
-	eQueue := eBucket % 2
-	const mice = 64
-	miceFrames := make([][]byte, mice)
-	for i := range miceFrames {
-		miceFrames[i] = flowFrame(uint16(2000 + i))
-	}
-
-	// 3 windows of 50% elephant / 50% mice. Track what the *static*
-	// table would have offered the elephant's queue; the rebalancer must
-	// beat it.
-	const total = 3 * FanoutWindow
-	var staticLoad uint64
-	for i := 0; i < total; i++ {
-		frame := elephant
-		if i%2 == 1 {
-			frame = miceFrames[(i/2)%mice]
-		}
-		if int(nic.HashFrame(frame)&(FanoutBuckets-1))%2 == eQueue {
-			staticLoad++
-		}
-		if _, err := far.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitCond(t, "skewed traffic demuxed", func() bool {
-		return fanoutOffered(f.Queue(0))+fanoutOffered(f.Queue(1)) == total
-	})
-	hotLoad := fanoutOffered(f.Queue(eQueue))
-	if f.Rebalances() == 0 {
-		t.Fatalf("elephant skew (queue %d got %d/%d) triggered no rebalance", eQueue, hotLoad, total)
-	}
-	if hotLoad >= staticLoad {
-		t.Fatalf("rebalance did not shed load: hot queue got %d, static table would give %d", hotLoad, staticLoad)
-	}
-	// The reader is quiescent after Close, so the table is safe to read:
-	// the elephant's bucket must still be pinned to its original queue.
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if f.table[eBucket] != eQueue {
-		t.Fatalf("elephant bucket migrated to queue %d — ordering broken", f.table[eBucket])
 	}
 }
 

@@ -536,6 +536,14 @@ func (p *Port) InflightCount() int {
 	return p.txN
 }
 
+// HeldCount implements nic.Port. A pending frame sits in a ring slot
+// until Poll copies it into a posted buffer, so it holds no buffer.
+func (p *Port) HeldCount() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.posted) + p.txN
+}
+
 // RXStats implements nic.Port.
 func (p *Port) RXStats() nic.RXQueueStats {
 	p.mu.Lock()
