@@ -420,8 +420,8 @@ func runWire(p *core.Pipeline, base testbed.Options, rxAddr, txAddr, metricsAddr
 		for c := 0; c < base.Cores; c++ {
 			devsPerCore = append(devsPerCore, []nic.Port{fanout.Queue(c)})
 		}
-		note("; serving on rx=%s tx=%s (model %s, %d cores, %d-bucket fanout)\n",
-			rxAddr, txAddr, o.Model, base.Cores, wire.FanoutBuckets)
+		note("; serving on rx=%s tx=%s (model %s, %d cores)\n",
+			rxAddr, txAddr, o.Model, base.Cores)
 	} else {
 		dev := wire.NewPort(wire.Config{Name: "wire0"}, rxConn, txConn)
 		defer dev.Close()

@@ -43,6 +43,10 @@ type BuildEnv struct {
 	Prewarm func(addr memsim.Addr, size uint64)
 
 	Seed uint64
+
+	// Core is this replica's index among Cores run-to-completion
+	// replicas of the graph (forwarded to BuildCtx; Cores 0 means 1).
+	Core, Cores int
 }
 
 // Router is a wired, runnable network function — the equivalent of the
@@ -170,6 +174,8 @@ func Build(g *Graph, env BuildEnv) (*Router, error) {
 		Prof:       rt.Prof,
 		Seed:       env.Seed,
 		Prewarm:    env.Prewarm,
+		Core:       env.Core,
+		Cores:      env.Cores,
 	}
 	if env.Model == Copying {
 		pp, err := NewPacketPool(env.PacketPoolSize, rt.MetaLayout, bc, rt.Prof)

@@ -363,6 +363,11 @@ type BuildCtx struct {
 	// Prewarm, when non-nil, installs a long-lived region into the LLC
 	// as initialization-phase state (see cache.System.Prewarm).
 	Prewarm func(addr memsim.Addr, size uint64)
+	// Core is this replica's index among Cores replicas (Cores 0 means
+	// 1). An element that draws from a resource the replicas share on
+	// the wire — the NAT's external ports — takes the share Core owns,
+	// so no two cores hand out the same value.
+	Core, Cores int
 }
 
 // AllocState places the element object (base state + extra bytes) and

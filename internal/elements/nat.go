@@ -29,7 +29,6 @@ func init() {
 const (
 	natFirstPort = 1024
 	natLastPort  = 65535
-	natPortCount = natLastPort - natFirstPort + 1
 )
 
 // portPool is a fixed ring of external ports: pop from the head for a
@@ -41,13 +40,21 @@ type portPool struct {
 	n     int
 }
 
-func newPortPool(n int) *portPool {
-	if n <= 0 || n > natPortCount {
-		n = natPortCount
+// newPortPool builds the pool of replica core of cores: it owns the
+// ports p ≡ core (mod cores), so the replicas' pools are disjoint and two
+// flows on different cores never leave under the same external port.
+// n caps the pool (0 = every owned port). One core owns the whole range.
+func newPortPool(n, core, cores int) *portPool {
+	if cores < 1 {
+		cores = 1
+	}
+	first := natFirstPort + (core-natFirstPort%cores+cores)%cores
+	if owned := (natLastPort-first)/cores + 1; n <= 0 || n > owned {
+		n = owned
 	}
 	p := &portPool{ports: make([]uint16, n), n: n}
 	for i := range p.ports {
-		p.ports[i] = uint16(natFirstPort + i)
+		p.ports[i] = uint16(first + i*cores)
 	}
 	return p
 }
@@ -81,12 +88,22 @@ func (p *portPool) inUse() int { return len(p.ports) - p.n }
 // the reverse mapping (external 5-tuple → original src) lives in a
 // plain cuckoo table kept in lockstep by the shard's reclaim hook, so
 // expiry and eviction recycle the port and both mappings together.
+// Each core's replica draws from its own slice of the port range (see
+// newPortPool).
 type IPRewriter struct {
 	click.Base
 	ExtIP     netpkt.IPv4
 	TableSize int
 
-	shard   *conntrack.Shard
+	shard *conntrack.Shard
+	// reverse is written on admission and deleted on reclaim but never
+	// read: the element has no inbound input. It stays because it
+	// carries the modeled cost of a NAT that keeps both mappings —
+	// its inserts, deletes and cache footprint. Deleting it raises the
+	// modeled nat-conntrack rate from 3.54 to 5.11 Mpps/core (+44%) and
+	// fig10's 1-core PacketMill row past the paper's ≈69 Gbps, and the
+	// bench gate does not flag improvements, so remove it only with a
+	// recalibration.
 	reverse *cuckoo.Table
 	pool    *portPool
 	flog    *flowlog.Core
@@ -115,9 +132,9 @@ func (e *IPRewriter) Class() string { return "IPRewriter" }
 // Configure implements click.Element.
 // Args: EXTIP a.b.c.d [, CAPACITY n] [, PORTS n] [, ESTABLISHED_MS n]
 // [, EMBRYONIC_MS n] [, CLOSING_MS n] [, UDP_MS n] [, PROTECT bool].
-// PORTS bounds the external-port pool (default the full 1024..65535
-// range) — small pools model carrier-grade NAT port budgets and the
-// port-exhaustion scenario.
+// PORTS bounds each core's external-port pool (default every port of
+// the 1024..65535 range that the core owns) — small pools model
+// carrier-grade NAT port budgets and the port-exhaustion scenario.
 func (e *IPRewriter) Configure(args []string, bc *click.BuildCtx) error {
 	e.InitBase(bc)
 	e.TableSize = 65536
@@ -158,7 +175,7 @@ func (e *IPRewriter) Configure(args []string, bc *click.BuildCtx) error {
 	e.shard = conntrack.NewShard(cfg, bc.Huge, bc.Seed^0x4e4154)
 	e.shard.OnReclaim = e.onReclaim
 	e.reverse = cuckoo.New(e.TableSize, bc.Huge, bc.Seed^0x76657254)
-	e.pool = newPortPool(ports)
+	e.pool = newPortPool(ports, bc.Core, bc.Cores)
 	bc.AllocState(64, 2)
 	return nil
 }

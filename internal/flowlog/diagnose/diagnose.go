@@ -1,7 +1,7 @@
 // Scenario diagnosis over flow-record streams: pattern-match one run's
 // records into named findings with evidence counts, the way an operator
 // would read the ledgers — "this was a SYN flood", "the NAT's port pool
-// is dry", "one elephant is pinning a fanout bucket". Detectors are
+// is dry", "one elephant is pinning its core". Detectors are
 // deliberately conservative: each demands both an absolute evidence
 // floor and a structural signature, so a clean churn run produces zero
 // findings and no scenario cross-fires on another's run (the exhibit's
@@ -31,8 +31,8 @@ const (
 	// ExpiryStorm: flow timeouts matured in dense waves instead of a
 	// steady trickle.
 	ExpiryStorm Scenario = "expiry-storm"
-	// ElephantSkew: a few flows dominate bytes and pin their fanout
-	// buckets.
+	// ElephantSkew: a few flows dominate bytes and pin the cores RSS
+	// gave them.
 	ElephantSkew Scenario = "elephant-skew"
 )
 
@@ -75,11 +75,9 @@ type Thresholds struct {
 	ExpiryPeakFactor float64
 
 	// Elephant skew: the largest flow carries at least
-	// MinElephantShare of flow bytes (and at least MinElephantBytes),
-	// measured against FanoutBuckets hash buckets.
+	// MinElephantShare of flow bytes (and at least MinElephantBytes).
 	MinElephantShare float64
 	MinElephantBytes uint64
-	FanoutBuckets    int
 }
 
 // Defaults returns the tuned evidence floors.
@@ -95,7 +93,6 @@ func Defaults() Thresholds {
 		ExpiryPeakFactor:  2.5,
 		MinElephantShare:  0.2,
 		MinElephantBytes:  64 << 10,
-		FanoutBuckets:     256,
 	}
 }
 
@@ -130,9 +127,6 @@ func (t Thresholds) withDefaults() Thresholds {
 	}
 	if t.MinElephantBytes == 0 {
 		t.MinElephantBytes = d.MinElephantBytes
-	}
-	if t.FanoutBuckets == 0 {
-		t.FanoutBuckets = d.FanoutBuckets
 	}
 	return t
 }
@@ -317,41 +311,42 @@ func detectExpiryStorm(recs []flowlog.Record, th Thresholds) (Finding, bool) {
 	}, true
 }
 
+// detectElephantSkew names the elephant's core from its record — the
+// placement RSS actually made — and that core's share of flow bytes.
 func detectElephantSkew(recs []flowlog.Record, th Thresholds) (Finding, bool) {
-	var totalBytes uint64
-	buckets := make([]uint64, th.FanoutBuckets)
 	top := flowlog.TopByBytes(recs, 1)
+	if len(top) == 0 {
+		return Finding{}, false
+	}
+	elephant := top[0]
+	var totalBytes, coreBytes uint64
 	for i := range recs {
 		r := &recs[i]
 		if r.Aggregate {
 			continue
 		}
 		totalBytes += r.Bytes
-		buckets[flowlog.BucketOf(r.Key, th.FanoutBuckets)] += r.Bytes
-	}
-	if len(top) == 0 || totalBytes == 0 {
-		return Finding{}, false
-	}
-	topBytes := top[0].Bytes
-	share := float64(topBytes) / float64(totalBytes)
-	if topBytes < th.MinElephantBytes || share < th.MinElephantShare {
-		return Finding{}, false
-	}
-	var peakBucket uint64
-	for _, b := range buckets {
-		if b > peakBucket {
-			peakBucket = b
+		if r.Core == elephant.Core {
+			coreBytes += r.Bytes
 		}
 	}
-	bucketShare := float64(peakBucket) / float64(totalBytes)
+	if totalBytes == 0 {
+		return Finding{}, false
+	}
+	share := float64(elephant.Bytes) / float64(totalBytes)
+	if elephant.Bytes < th.MinElephantBytes || share < th.MinElephantShare {
+		return Finding{}, false
+	}
+	coreShare := float64(coreBytes) / float64(totalBytes)
 	return Finding{
 		Scenario: ElephantSkew,
-		Summary: fmt.Sprintf("elephant %s carries %.1f%% of flow bytes; hottest fanout bucket holds %.1f%%",
-			flowlog.FormatKey(top[0].Key), share*100, bucketShare*100),
+		Summary: fmt.Sprintf("elephant %s carries %.1f%% of flow bytes; its core %d carries %.1f%%",
+			flowlog.FormatKey(elephant.Key), share*100, elephant.Core, coreShare*100),
 		Evidence: []Evidence{
-			{"top_flow_bytes", float64(topBytes)},
+			{"top_flow_bytes", float64(elephant.Bytes)},
 			{"top_flow_share", share},
-			{"peak_bucket_share", bucketShare},
+			{"elephant_core", float64(elephant.Core)},
+			{"elephant_core_share", coreShare},
 		},
 	}, true
 }

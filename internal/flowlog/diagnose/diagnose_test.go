@@ -1,6 +1,7 @@
 package diagnose
 
 import (
+	"strings"
 	"testing"
 
 	"packetmill/internal/conntrack"
@@ -54,7 +55,7 @@ func natExhaustion() []flowlog.Record {
 			Verdict: flowlog.VerdictForwarded, End: flowlog.EndActive,
 			Reason:  stats.NumDropReasons,
 			Packets: 6, Bytes: 3000,
-			NATIP:   0xc0a80001, NATPort: uint16(40000 + i),
+			NATIP: 0xc0a80001, NATPort: uint16(40000 + i),
 			FirstNS: float64(i) * 1e5, LastNS: 1e8,
 		}
 		recs = append(recs, r)
@@ -93,11 +94,17 @@ func expiryStorm() []flowlog.Record {
 	return recs
 }
 
+// elephantSkew spreads 100 mice over two cores and puts the elephant on
+// core 1.
 func elephantSkew() []flowlog.Record {
 	recs := cleanChurn(100) // mice: 4096 bytes each
+	for i := range recs {
+		recs[i].Core = int32(i % 2)
+	}
 	recs = append(recs, flowlog.Record{
 		Key: conntrack.Key{SrcIP: 0x0afe0001, DstIP: 0x0a010001,
 			SrcPort: 9999, DstPort: 443, Proto: 6},
+		Core:  1,
 		State: conntrack.StateEstablished, Verdict: flowlog.VerdictForwarded,
 		End: flowlog.EndActive, Reason: stats.NumDropReasons,
 		Packets: 1000, Bytes: 1 << 20,
@@ -133,6 +140,29 @@ func TestDiagnosisMatrix(t *testing.T) {
 		if findings[0].Summary == "" || len(findings[0].Evidence) == 0 {
 			t.Fatalf("%s finding lacks summary/evidence: %+v", want, findings[0])
 		}
+	}
+}
+
+// The elephant-skew finding names the core the elephant's record says
+// it ran on, and that core's share of flow bytes — no hash involved.
+func TestElephantSkewNamesCore(t *testing.T) {
+	findings := Run(elephantSkew(), Defaults())
+	if len(findings) != 1 {
+		t.Fatalf("%d findings, want 1: %+v", len(findings), findings)
+	}
+	ev := map[string]float64{}
+	for _, e := range findings[0].Evidence {
+		ev[e.Name] = e.Value
+	}
+	const elephant, mice = 1 << 20, 50 * 4096 // core 1 holds the elephant and 50 mice
+	if got := ev["elephant_core"]; got != 1 {
+		t.Fatalf("elephant_core = %v, want 1", got)
+	}
+	if got, want := ev["elephant_core_share"], float64(elephant+mice)/float64(elephant+2*mice); got != want {
+		t.Fatalf("elephant_core_share = %v, want %v", got, want)
+	}
+	if !strings.Contains(findings[0].Summary, "its core 1 carries") {
+		t.Fatalf("summary does not name the core: %q", findings[0].Summary)
 	}
 }
 

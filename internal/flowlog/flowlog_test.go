@@ -288,7 +288,7 @@ func TestNoteDepartSampling(t *testing.T) {
 	}
 }
 
-func TestTopByBytesAndBuckets(t *testing.T) {
+func TestTopByBytes(t *testing.T) {
 	recs := []Record{
 		{Key: conntrack.Key{SrcIP: 1}, Bytes: 100},
 		{Key: conntrack.Key{SrcIP: 2}, Bytes: 900},
@@ -298,14 +298,5 @@ func TestTopByBytesAndBuckets(t *testing.T) {
 	top := TopByBytes(recs, 2)
 	if len(top) != 2 || top[0].Bytes != 900 || top[1].Bytes != 500 {
 		t.Fatalf("TopByBytes = %+v", top)
-	}
-	// BucketOf is deterministic and in-range.
-	k := conntrack.Key{SrcIP: 9, DstIP: 8, SrcPort: 7, DstPort: 6, Proto: 6}
-	b := BucketOf(k, 256)
-	if b < 0 || b >= 256 {
-		t.Fatalf("BucketOf out of range: %d", b)
-	}
-	if BucketOf(k, 256) != b {
-		t.Fatal("BucketOf not deterministic")
 	}
 }

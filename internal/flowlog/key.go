@@ -51,27 +51,3 @@ func KeyFromFrame(frame []byte) (conntrack.Key, bool) {
 	}
 	return k, true
 }
-
-// BucketOf hashes a canonical key into one of n fanout buckets (n a
-// power of two) — the diagnosis engine uses it to measure elephant-flow
-// skew across the RSS indirection table.
-func BucketOf(k conntrack.Key, n int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64, bytes int) {
-		for i := 0; i < bytes; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(k.SrcIP), 4)
-	mix(uint64(k.DstIP), 4)
-	mix(uint64(k.SrcPort), 2)
-	mix(uint64(k.DstPort), 2)
-	mix(uint64(k.Proto), 1)
-	return int(h & uint64(n-1))
-}

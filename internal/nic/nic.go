@@ -361,15 +361,21 @@ func (n *NIC) RX(q int) *RXQueue { return n.rx[q] }
 // TX returns transmit queue q.
 func (n *NIC) TX(q int) *TXQueue { return n.tx[q] }
 
-// RSSQueue picks the receive queue for a frame using a flow hash over the
-// IPv4 addresses and L4 ports (symmetric simple hash; distribution, not
-// cryptography, is what matters).
-func (n *NIC) RSSQueue(frame []byte) int {
-	if n.Cfg.NumQueues == 1 {
+// RSSQueue picks the receive queue for a frame among the adapter's
+// queues (see Queue).
+func (n *NIC) RSSQueue(frame []byte) int { return Queue(frame, n.Cfg.NumQueues) }
+
+// Queue maps a frame to one of n receive queues: the RSS flow hash over
+// the IPv4 addresses and L4 ports (symmetric simple hash; distribution,
+// not cryptography, is what matters) modulo n. It is the one flow-to-
+// queue map: the simulated adapter and the wire fanout both call it, so
+// a flow lands on the same core, and in the same core's NAT and
+// conntrack state, on either backend and at any core count.
+func Queue(frame []byte, n int) int {
+	if n <= 1 {
 		return 0
 	}
-	h := rssHash(frame)
-	return int(h % uint32(n.Cfg.NumQueues))
+	return int(rssHash(frame) % uint32(n))
 }
 
 // HashFrame exposes the adapter's RSS flow hash to other backends (the

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"packetmill/internal/click"
+	"packetmill/internal/flowlog"
+	"packetmill/internal/netpkt"
 	"packetmill/internal/nf"
 	"packetmill/internal/stats"
 	"packetmill/internal/trafficgen"
@@ -58,6 +60,72 @@ input -> nat :: IPRewriter(EXTIP 192.168.100.1, CAPACITY 256, UDP_MS 1, ESTABLIS
 	}
 	if ct.PortsRecycled == 0 {
 		t.Fatal("NAT recycled no ports across churn")
+	}
+}
+
+// TestNATPortsDisjointAcrossCores: on a 3-core simulated NAT router,
+// flows that RSS spreads over every core all head for one destination,
+// so a port two replicas both hand out would make two flows one on the
+// wire. Each replica owns the ports p ≡ core (mod 3), so no (external
+// port, destination) pair is held by two live flows, read straight off
+// the flow records.
+func TestNATPortsDisjointAcrossCores(t *testing.T) {
+	const cores, flows, rounds = 3, 96, 4
+	src := &replaySource{}
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < flows; i++ {
+			src.frames = append(src.frames, netpkt.BuildUDP(make([]byte, 64), netpkt.UDPPacketSpec{
+				SrcMAC:  netpkt.MAC{0x02, 0, 0, 0, 0, 1},
+				DstMAC:  netpkt.MAC{0x02, 0, 0, 0, 0, 2},
+				SrcIP:   netpkt.IPv4{10, 0, 0, 1},
+				DstIP:   netpkt.IPv4{10, 1, 0, 5},
+				SrcPort: uint16(2000 + i),
+				DstPort: 9,
+			}))
+			src.times = append(src.times, float64(len(src.times))*100)
+		}
+	}
+	res, d, err := chaosRun(nf.NATRouter(32), Options{
+		Model: click.XChange, Cores: cores, Seed: 13, RateGbps: 1,
+		Packets: len(src.frames), FlowLog: flowlog.New(flowlog.Config{}),
+		Traffic: func(int, trafficgen.Config) trafficgen.Source { return src },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, res, d)
+
+	type extKey struct {
+		port    uint16
+		dstIP   uint32
+		dstPort uint16
+		proto   uint8
+	}
+	holder := map[extKey]flowlog.Record{}
+	perCore := make([]int, cores)
+	for _, r := range res.Flows {
+		if r.Aggregate || r.NATIP == 0 || r.End != flowlog.EndActive {
+			continue
+		}
+		perCore[r.Core]++
+		if int(r.NATPort)%cores != int(r.Core) {
+			t.Errorf("flow %s on core %d holds port %d, which core %d owns",
+				flowlog.FormatKey(r.Key), r.Core, r.NATPort, int(r.NATPort)%cores)
+		}
+		k := extKey{r.NATPort, r.Key.DstIP, r.Key.DstPort, r.Key.Proto}
+		if other, ok := holder[k]; ok {
+			t.Errorf("flows %s (core %d) and %s (core %d) both hold external port %d",
+				flowlog.FormatKey(other.Key), other.Core, flowlog.FormatKey(r.Key), r.Core, r.NATPort)
+		}
+		holder[k] = r
+	}
+	if len(holder) != flows {
+		t.Fatalf("%d distinct live translations, want %d (cores: %v)", len(holder), flows, perCore)
+	}
+	for c, n := range perCore {
+		if n == 0 {
+			t.Fatalf("core %d holds no flow (%v): RSS did not spread the flow set", c, perCore)
+		}
 	}
 }
 

@@ -537,6 +537,8 @@ func (d *DUT) BuildRouters(g *click.Graph) ([]*click.Router, error) {
 			Profile:    d.Opts.Profile,
 			Seed:       d.Opts.Seed + uint64(c),
 			Prewarm:    d.machFor(c).Sys.Prewarm,
+			Core:       c,
+			Cores:      d.Opts.Cores,
 		}
 		rt, err := click.Build(g, env)
 		if err != nil {

@@ -66,17 +66,7 @@ func runWireLoopback(t *testing.T, model click.MetadataModel) {
 		dumpPcap(t, filepath.Join(artifactDir, base+"-captured.pcap"), got)
 	})
 
-	cfgSrc, err := os.ReadFile("../../configs/nat-router.click")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := mill.NewPlan(string(cfgSrc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plan.Apply(mill.PacketMill()...); err != nil {
-		t.Fatal(err)
-	}
+	plan := milledNATRouter(t)
 
 	// The workload: a recorded slice of the campus mix, modest rate so
 	// the simulated oracle run is lossless.
@@ -217,6 +207,26 @@ func runWireLoopback(t *testing.T, model click.MetadataModel) {
 				i, len(got[i]), len(want[i]))
 		}
 	}
+}
+
+// milledNATRouter is configs/nat-router.click through the full
+// PacketMill pass pipeline — the NF the wire-vs-simulator oracles run.
+// Every element in it is arrival-order deterministic, so one core's
+// output depends only on the frames that core was given, in order.
+func milledNATRouter(t *testing.T) *mill.Plan {
+	t.Helper()
+	cfgSrc, err := os.ReadFile("../../configs/nat-router.click")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := mill.NewPlan(string(cfgSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Apply(mill.PacketMill()...); err != nil {
+		t.Fatal(err)
+	}
+	return plan
 }
 
 // dumpPcap writes a frame set as a nanosecond pcap (frame index as the

@@ -1,15 +1,14 @@
 // Fanout: demultiplexing one receive socket into N per-core queue ports
 // — the software equivalent of RSS (or Linux's PACKET_FANOUT_CPU) for a
 // wire backend whose peer speaks to a single address. One reader
-// goroutine drains the shared socket, hashes each frame with the same
-// flow hash the simulated adapter uses (nic.HashFrame), and files it
-// into the owning core's RX ring: bucket = hash mod FanoutBuckets, queue
-// = bucket mod N, the spread of a freshly programmed NIC RETA. The map
-// is static, so a flow stays on one core for the whole session, that
-// core alone holds the flow's state (conntrack, NAT mappings), and the
-// cores never talk to each other. A skewed mix (one elephant flow)
-// loads its queue unevenly; that is the price of flow affinity, and the
-// demux does not chase it.
+// goroutine drains the shared socket and files each frame into the
+// owning core's RX ring: queue = the simulated adapter's RSS queue
+// (nic.Queue), so a flow lands on the same core as in an N-core
+// simulated run. The map is static, so a flow stays on one core for the
+// whole session, that core alone holds the flow's state (conntrack, NAT
+// mappings), and the cores never talk to each other. A skewed mix (one
+// elephant flow) loads its queue unevenly; that is the price of flow
+// affinity, and the demux does not chase it.
 //
 // The transmit side needs no demux: every queue port writes the shared
 // TX socket directly — datagram writes are atomic, and each queue keeps
@@ -24,10 +23,6 @@ import (
 
 	"packetmill/internal/nic"
 )
-
-// FanoutBuckets is the indirection-table size (a power of two, like a
-// hardware RSS RETA).
-const FanoutBuckets = 256
 
 // Fanout owns the shared sockets and the per-core queue ports. Create
 // with NewFanout, hand Queue(i) to core i's PMD, and Close once — the
@@ -108,7 +103,7 @@ func (f *Fanout) Close() error {
 	return err
 }
 
-// run is the reader: drain the shared socket, hash, demux.
+// run is the reader: drain the shared socket, demux by RSS queue.
 func (f *Fanout) run() {
 	defer close(f.done)
 	buf := make([]byte, f.cfg.MTU)
@@ -157,7 +152,6 @@ func (f *Fanout) run() {
 		}
 		consecErrs = 0
 		frame := buf[:n]
-		b := nic.HashFrame(frame) & (FanoutBuckets - 1)
-		f.queues[int(b)%len(f.queues)].deliver(frame)
+		f.queues[nic.Queue(frame, len(f.queues))].deliver(frame)
 	}
 }

@@ -1,8 +1,11 @@
 package wire
 
 import (
+	"fmt"
 	"testing"
 
+	"packetmill/internal/machine"
+	"packetmill/internal/memsim"
 	"packetmill/internal/nic"
 )
 
@@ -28,38 +31,58 @@ func fanoutOffered(q *Port) uint64 {
 }
 
 // TestFanoutDemux: every frame written to the shared socket lands on
-// exactly one queue, and the queue is the one the static indirection
-// table (bucket = hash mod table size, queue = bucket mod N) picks —
-// software RSS, deterministic and flow-affine.
+// exactly one queue, and the queue is the one the simulated adapter's
+// RSS picks for the same frame at the same queue count — software RSS
+// places a flow on the core the N-core simulation would. N = 3 is the
+// case a power-of-two indirection table gets wrong.
 func TestFanoutDemux(t *testing.T) {
+	for _, n := range []int{2, 3} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) { runFanoutDemux(t, n) })
+	}
+}
+
+func runFanoutDemux(t *testing.T, n int) {
 	near, far, err := Socketpair()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFanout(Config{Name: "fan", RXRing: 1024}, 2, near, nil)
+	f := NewFanout(Config{Name: "fan", RXRing: 1024}, n, near, nil)
 	defer f.Close()
 	defer far.Close()
 
-	const flows, per = 32, 8
-	want := make([]uint64, 2)
+	simCfg := nic.DefaultConfig("sim")
+	simCfg.NumQueues = n
+	m, _ := machine.Default(2.0)
+	sim := nic.New(simCfg, m.Sys, memsim.NewArena("huge", memsim.HugeBase, 1<<30))
+
+	// Flow fl sends fl+1 frames, so the per-queue totals pin down which
+	// flows each queue got, not only how many.
+	const flows = 32
+	want := make([]uint64, n)
+	var total uint64
 	for fl := 0; fl < flows; fl++ {
 		frame := flowFrame(uint16(1000 + fl))
-		want[int(nic.HashFrame(frame)&(FanoutBuckets-1))%2] += per
-		for i := 0; i < per; i++ {
+		want[sim.RSSQueue(frame)] += uint64(fl + 1)
+		for i := 0; i <= fl; i++ {
 			if _, err := far.Write(frame); err != nil {
 				t.Fatal(err)
 			}
+			total++
 		}
 	}
 	waitCond(t, "all frames demuxed", func() bool {
-		return fanoutOffered(f.Queue(0))+fanoutOffered(f.Queue(1)) == flows*per
+		var sum uint64
+		for q := 0; q < n; q++ {
+			sum += fanoutOffered(f.Queue(q))
+		}
+		return sum == total
 	})
-	for q := 0; q < 2; q++ {
+	for q := 0; q < n; q++ {
 		if got := f.Queue(q).RXStats().Delivered; got != want[q] {
-			t.Fatalf("queue %d delivered %d frames, indirection table says %d", q, got, want[q])
+			t.Fatalf("queue %d delivered %d frames, the simulated adapter's RSS says %d", q, got, want[q])
 		}
 		if want[q] == 0 {
-			t.Fatalf("degenerate flow set: every flow hashed to one queue")
+			t.Fatalf("degenerate flow set: queue %d got no flow", q)
 		}
 	}
 }
