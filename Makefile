@@ -68,9 +68,10 @@ pcap-demo:
 	$(DEMO)/pktgen -capture $(DEMO)/got.pcap -on unix:$(DEMO)/cap.sock -idle 2s & cap=$$!; \
 	$(DEMO)/packetmill -config configs/nat-router.click -mill -model x-change \
 		-io wire -wire-rx unix:$(DEMO)/rx.sock -wire-tx unix:$(DEMO)/cap.sock \
-		-wire-idle 1500ms & mill=$$!; \
+		-wire-idle 1500ms > $(DEMO)/wire.txt & mill=$$!; \
+	until grep -q '^; serving' $(DEMO)/wire.txt || ! kill -0 $$mill 2>/dev/null; do sleep 0.02; done; \
 	$(DEMO)/pktgen -replay $(DEMO)/in.pcap -to unix:$(DEMO)/rx.sock -pps 20000; \
-	wait $$mill && wait $$cap
+	rc=0; wait $$mill || rc=$$?; cat $(DEMO)/wire.txt; [ $$rc -eq 0 ] && wait $$cap
 	$(DEMO)/pktgen -compare $(DEMO)/got.pcap $(DEMO)/expected.pcap
 
 # Flight-recorder demo: run the milled router with per-packet tracing

@@ -420,16 +420,25 @@ func runWire(p *core.Pipeline, base testbed.Options, rxAddr, txAddr, metricsAddr
 		for c := 0; c < base.Cores; c++ {
 			devsPerCore = append(devsPerCore, []nic.Port{fanout.Queue(c)})
 		}
-		note("; serving on rx=%s tx=%s (model %s, %d cores)\n",
-			rxAddr, txAddr, o.Model, base.Cores)
 	} else {
 		dev := wire.NewPort(wire.Config{Name: "wire0"}, rxConn, txConn)
 		defer dev.Close()
 		devsPerCore = [][]nic.Port{{dev}}
+	}
+	// Assembly (a large conntrack table takes ~150 ms) runs while the RX
+	// ring already fills, so the note that tells a peer to start sending
+	// comes only once the routers are built.
+	d, engines, err := testbed.NewWireGraphPerCore(p.Plan.Graph, o, devsPerCore)
+	if err != nil {
+		fatal(err)
+	}
+	if base.Cores > 1 {
+		note("; serving on rx=%s tx=%s (model %s, %d cores)\n",
+			rxAddr, txAddr, o.Model, base.Cores)
+	} else {
 		note("; serving on rx=%s tx=%s (model %s)\n", rxAddr, txAddr, o.Model)
 	}
-	d, st, err := testbed.ServeWireGraphPerCore(context.Background(), p.Plan.Graph, o,
-		devsPerCore, idle, uint64(maxPackets))
+	st, err := d.ServeWire(context.Background(), engines, idle, uint64(maxPackets))
 	if err != nil {
 		fatal(err)
 	}

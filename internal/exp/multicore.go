@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"packetmill/internal/click"
@@ -83,6 +84,13 @@ func mcPerCore(scale float64) int {
 	return max(600, int(2500*scale))
 }
 
+// mcWindow bounds the frames a generator has sent but not yet seen come
+// back: half the DUT's 512-slot RX ring, so the ring cannot overflow. An
+// unbounded generator writes a frame faster than the DUT forwards one
+// (a read syscall against modeled processing plus a write), so past 512
+// frames it would lose whatever the ring could not hold.
+const mcWindow = 256
+
 // mcServe stands up `cores` independent loopback segments, serves the
 // EtherMirror graph with one run-to-completion pipeline per core, and
 // pushes perCore frames through each from concurrent generators. Returns
@@ -122,6 +130,14 @@ func mcServe(cores, perCore int, seed uint64) (elapsedSec float64, led *testbed.
 	if err != nil {
 		return 0, nil, err
 	}
+	// The DUT posts its RX rings before any generator sends: frames that
+	// beat the first poll would otherwise overflow a ring that nothing
+	// drains yet.
+	d, engines, err := testbed.NewWireGraphPerCore(g,
+		testbed.Options{Model: click.XChange, Seed: seed}, devsPerCore)
+	if err != nil {
+		return 0, nil, err
+	}
 
 	// 64 flows so the frames spread across RSS buckets like real traffic.
 	flows := make([][]byte, 64)
@@ -136,12 +152,23 @@ func mcServe(cores, perCore int, seed uint64) (elapsedSec float64, led *testbed.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for c := 0; c < cores; c++ {
+		// captured counts frames back at the generator's port; progress
+		// wakes a generator waiting on a full window.
+		var captured atomic.Int64
+		progress := make(chan struct{}, 1)
 		wg.Add(1)
-		go func(c int) { // generator: enqueue, then reap the completion
+		go func(c int) { // generator: at most mcWindow frames unforwarded
 			defer wg.Done()
 			tx := pktbuf.NewPacket(make([]byte, 2300), 0, 128)
 			reap := make([]*pktbuf.Packet, 1)
 			for i := 0; i < perCore; i++ {
+				for int64(i)-captured.Load() >= mcWindow {
+					select {
+					case <-progress:
+					case <-stop:
+						return
+					}
+				}
 				tx.Reset(tx.OrigHeadroom())
 				tx.SetFrame(flows[i%len(flows)])
 				for !gens[c].Enqueue(nil, tx, 0) {
@@ -157,6 +184,8 @@ func mcServe(cores, perCore int, seed uint64) (elapsedSec float64, led *testbed.
 			defer wg.Done()
 			pkts := make([]*pktbuf.Packet, 32)
 			descs := make([]nic.Descriptor, 32)
+			bell := make(chan struct{}, 1)
+			gens[c].SetDoorbell(bell)
 			for {
 				n := gens[c].Poll(nil, 0, len(pkts), pkts, descs)
 				for i := 0; i < n; i++ {
@@ -164,13 +193,18 @@ func mcServe(cores, perCore int, seed uint64) (elapsedSec float64, led *testbed.
 						return
 					}
 				}
-				if n == 0 {
+				if n > 0 {
+					captured.Add(int64(n))
 					select {
-					case <-stop:
-						return
+					case progress <- struct{}{}:
 					default:
-						runtime.Gosched()
 					}
+					continue
+				}
+				select {
+				case <-stop:
+					return
+				case <-bell:
 				}
 			}
 		}(c)
@@ -178,9 +212,7 @@ func mcServe(cores, perCore int, seed uint64) (elapsedSec float64, led *testbed.
 	// The budget counts engine moves, which the Click engine books once
 	// per received frame, so the session ends once every frame is in;
 	// the closing drain forwards any still queued.
-	d, _, err := testbed.ServeWireGraphPerCore(ctx, g,
-		testbed.Options{Model: click.XChange, Seed: seed},
-		devsPerCore, 2*time.Second, total)
+	_, err = d.ServeWire(ctx, engines, 2*time.Second, total)
 	elapsedSec = time.Since(start).Seconds()
 	close(stop)
 	wg.Wait()

@@ -141,12 +141,6 @@ func New(name string, fields []FieldID) *Layout {
 	return newAt(name, fields, 0, 0)
 }
 
-// NewWithFixedPrefix builds a layout whose first prefix bytes are reserved
-// (an overlaid foreign struct); listed fields are packed after it.
-func NewWithFixedPrefix(name string, prefix uint32, fields []FieldID) *Layout {
-	return newAt(name, fields, prefix, prefix)
-}
-
 // NewGrouped builds a layout where each group of fields starts at a fresh
 // cache-line boundary — how DPDK splits rte_mbuf into an RX line and a TX
 // line (the `RTE_MARKER cacheline1` trick).

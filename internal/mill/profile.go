@@ -79,9 +79,3 @@ func ProfileGuided(prof *Profile) []Pass {
 		FuseElements{Profile: prof},
 	}
 }
-
-// PacketMillProfiled is the full profile-guided pipeline: the paper's
-// static passes followed by the feedback passes.
-func PacketMillProfiled(prof *Profile) []Pass {
-	return append(PacketMill(), ProfileGuided(prof)...)
-}

@@ -181,6 +181,12 @@ type Port interface {
 	// RXStats/TXStats snapshot the queue counters for telemetry.
 	RXStats() RXQueueStats
 	TXStats() TXQueueStats
+
+	// SetDoorbell registers bell, which the backend signals without
+	// blocking whenever its RX ring goes from empty to non-empty, so an
+	// idle poller can sleep on it instead of spinning. Several ports may
+	// share one bell.
+	SetDoorbell(bell chan struct{})
 }
 
 // QueuePair adapts one (RXQueue, TXQueue) pair of the simulated adapter
@@ -258,6 +264,10 @@ func (qp *QueuePair) RXStats() RXQueueStats { return qp.rx.Stats }
 
 // TXStats implements Port.
 func (qp *QueuePair) TXStats() TXQueueStats { return qp.tx.Stats }
+
+// SetDoorbell implements Port as a no-op: simulated arrivals sit on the
+// simulated calendar, where no poller ever waits for a wake-up.
+func (qp *QueuePair) SetDoorbell(chan struct{}) {}
 
 // RXQueue is one receive queue: posted buffers plus completed entries.
 type RXQueue struct {

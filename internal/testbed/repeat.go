@@ -1,10 +1,9 @@
-// Repeated runs and loss-free rate search — the measurement-methodology
-// half of the harness. The paper repeats each test five times and reports
-// medians (via NPF, which also randomizes the environment between runs to
-// dodge measurement bias, §5); RunRepeated mirrors that by re-running with
-// varied seeds — which perturbs traffic interleavings and flow layouts —
-// and reporting the median-throughput run. FindLossFreeRate is the
-// RFC 2544-style binary search for the maximum loss-free forwarding rate.
+// Repeated runs — the measurement-methodology half of the harness. The
+// paper repeats each test five times and reports medians (via NPF, which
+// also randomizes the environment between runs to dodge measurement
+// bias, §5); RunRepeatedGraph mirrors that by re-running with varied
+// seeds — which perturbs traffic interleavings and flow layouts — and
+// reporting the median-throughput run.
 package testbed
 
 import (
@@ -21,18 +20,9 @@ type Spread struct {
 	Gbps []float64
 }
 
-// RunRepeated re-runs config n times with varied seeds and returns the
-// median-throughput run's full Result plus the spread.
-func RunRepeated(config string, o Options, n int) (*Result, Spread, error) {
-	g, err := click.Parse(config)
-	if err != nil {
-		return nil, Spread{}, err
-	}
-	return RunRepeatedGraph(g, o, n)
-}
-
-// RunRepeatedGraph is RunRepeated for a parsed (possibly transformed)
-// graph.
+// RunRepeatedGraph re-runs the parsed (possibly transformed) graph n
+// times with varied seeds and returns the median-throughput run's full
+// Result plus the spread.
 func RunRepeatedGraph(g *click.Graph, o Options, n int) (*Result, Spread, error) {
 	if n < 1 {
 		n = 1
@@ -58,57 +48,4 @@ func RunRepeatedGraph(g *click.Graph, o Options, n int) (*Result, Spread, error)
 		sp.Gbps = append(sp.Gbps, r.gbps)
 	}
 	return runs[len(runs)/2].res, sp, nil
-}
-
-// FindLossFreeRate binary-searches the maximum offered rate (Gbps) the
-// configuration forwards with a loss ratio at or below tolerance —
-// RFC 2544's throughput definition. It returns the rate and the Result of
-// the final passing run.
-func FindLossFreeRate(config string, o Options, tolerance float64) (float64, *Result, error) {
-	g, err := click.Parse(config)
-	if err != nil {
-		return 0, nil, err
-	}
-	o = o.withDefaults()
-	lossAt := func(rate float64) (*Result, float64, error) {
-		oi := o
-		oi.RateGbps = rate
-		res, err := RunGraph(g, oi)
-		if err != nil {
-			return nil, 0, err
-		}
-		if res.Offered == 0 {
-			return res, 1, nil
-		}
-		return res, float64(res.Dropped) / float64(res.Offered), nil
-	}
-
-	lo, hi := 1.0, o.RateGbps // upper bound: the configured line rate
-	var best *Result
-	bestRate := 0.0
-	// A dozen halvings give <0.1-Gbps resolution on a 100-Gbps span.
-	for i := 0; i < 12; i++ {
-		mid := (lo + hi) / 2
-		res, loss, err := lossAt(mid)
-		if err != nil {
-			return 0, nil, err
-		}
-		if loss <= tolerance {
-			best, bestRate = res, mid
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	if best == nil {
-		res, loss, err := lossAt(lo)
-		if err != nil {
-			return 0, nil, err
-		}
-		if loss > tolerance {
-			return 0, nil, fmt.Errorf("testbed: no loss-free rate ≥ %.1f Gbps found", lo)
-		}
-		best, bestRate = res, lo
-	}
-	return bestRate, best, nil
 }

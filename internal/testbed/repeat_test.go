@@ -10,7 +10,7 @@ import (
 )
 
 func TestRunRepeatedMedian(t *testing.T) {
-	res, sp, err := RunRepeated(nf.Forwarder(0, 32), Options{
+	res, sp, err := RunRepeatedGraph(mustParse(t, nf.Forwarder(0, 32)), Options{
 		FreqGHz: 1.4, Model: click.Copying, FixedSize: 512,
 		RateGbps: 100, Packets: 4000,
 	}, 5)
@@ -39,7 +39,7 @@ func TestRunRepeatedSeedsVaryRuns(t *testing.T) {
 	// With the campus mix the interleavings differ per seed; the runs
 	// must not be byte-identical in throughput (that would mean seeds
 	// aren't applied).
-	_, sp, err := RunRepeated(nf.Router(32), Options{
+	_, sp, err := RunRepeatedGraph(mustParse(t, nf.Router(32)), Options{
 		FreqGHz: 1.2, Model: click.Copying, RateGbps: 100, Packets: 4000,
 	}, 3)
 	if err != nil {
@@ -51,36 +51,9 @@ func TestRunRepeatedSeedsVaryRuns(t *testing.T) {
 }
 
 func TestRunRepeatedBadConfig(t *testing.T) {
-	if _, _, err := RunRepeated("nope", Options{}, 2); err == nil {
+	// An unbuildable graph (an element class no registry knows) must
+	// fail the first repeat, not yield an empty median.
+	if _, _, err := RunRepeatedGraph(mustParse(t, "x :: NoSuchElement;"), Options{}, 2); err == nil {
 		t.Fatal("garbage accepted")
-	}
-}
-
-func TestFindLossFreeRate(t *testing.T) {
-	// The vanilla router at 1.2 GHz caps well below 100 Gbps; the search
-	// must find a loss-free rate below the cap but above a trivial floor.
-	rate, res, err := FindLossFreeRate(nf.Router(32), Options{
-		FreqGHz: 1.2, Model: click.Copying, FixedSize: 1024,
-		RateGbps: 100, Packets: 6000,
-	}, 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rate < 5 || rate > 90 {
-		t.Fatalf("loss-free rate %.1f Gbps implausible", rate)
-	}
-	if res.Dropped > res.Offered/1000 {
-		t.Fatalf("final run lossy: %d/%d", res.Dropped, res.Offered)
-	}
-	// Sanity: offering well above the found rate must drop packets.
-	over, err := Run(nf.Router(32), Options{
-		FreqGHz: 1.2, Model: click.Copying, FixedSize: 1024,
-		RateGbps: 100, Packets: 20000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if over.Dropped == 0 {
-		t.Fatal("line-rate run did not drop; loss-free search is meaningless")
 	}
 }

@@ -256,6 +256,9 @@ type DUT struct {
 	// wireRes is the ledger of the last finished wire session
 	// (WireResult).
 	wireRes *Result
+	// bells holds each wire core's doorbell, registered on that core's
+	// devices (NewWireDUTPerCore).
+	bells []chan struct{}
 }
 
 // machFor returns core c's machine: its own on the multicore wire path,

@@ -9,9 +9,14 @@
 // core c owns its queue pairs, its pktbuf pools, its span tracker, its
 // overload controller, its Click graph replica, and its own simulated
 // machine — zero shared mutable state on the hot path. The cores meet
-// only at an atomic stop flag, padded per-core progress counters core 0
+// only at a stop channel, padded per-core progress counters core 0
 // sums, and (when a metrics exporter is attached) a publish gate that
 // briefly quiesces the cores for a snapshot.
+//
+// An idle core does not spin: after idleSpins empty rounds it parks on
+// its doorbell, which its ports ring when an RX ring goes from empty to
+// non-empty — the sleep-until-arrival Metronome puts in place of DPDK's
+// busy poll, reduced to one fixed bound.
 package testbed
 
 import (
@@ -47,7 +52,9 @@ func NewWireDUT(o Options, devs []nic.Port) (*DUT, error) {
 // of a wire.Fanout, or a dedicated socketpair per core. Every core gets
 // a private machine: the cores run as concurrent goroutines and the
 // simulated memory hierarchy is a single-threaded model, and a
-// run-to-completion pipeline shares nothing anyway.
+// run-to-completion pipeline shares nothing anyway. Every core also
+// gets one doorbell, registered on each of its devices, so a core with
+// several ports wakes on any of them.
 func NewWireDUTPerCore(o Options, devsPerCore [][]nic.Port) (*DUT, error) {
 	if len(devsPerCore) == 0 || len(devsPerCore[0]) == 0 {
 		return nil, fmt.Errorf("testbed: wire DUT needs at least one core with at least one device")
@@ -76,6 +83,8 @@ func NewWireDUTPerCore(o Options, devsPerCore [][]nic.Port) (*DUT, error) {
 		core := mach.AddCore(o.FreqGHz)
 		d.Cores = append(d.Cores, core)
 		d.PortsFor = append(d.PortsFor, map[int]*dpdk.Port{})
+		bell := make(chan struct{}, 1)
+		d.bells = append(d.bells, bell)
 		// Tracing and the live exporter both need the span trackers; the
 		// report itself still requires Telemetry.
 		if o.Telemetry || o.Trace != nil || o.Metrics != nil {
@@ -84,6 +93,7 @@ func NewWireDUTPerCore(o Options, devsPerCore [][]nic.Port) (*DUT, error) {
 			d.Trackers = append(d.Trackers, nil)
 		}
 		for i, dev := range devs {
+			dev.SetDoorbell(bell)
 			port, err := d.buildPortOn(i, dev)
 			if err != nil {
 				return nil, err
@@ -118,8 +128,9 @@ type WireServeStats struct {
 // Every core runs the same run-to-completion loop, stepping only its
 // own engine, ports, tracker, and overload controller against its own
 // machine. The caller's goroutine runs core 0 and also watches the exit
-// conditions; cores 1..N-1 run one goroutine each. A 1-core session is
-// therefore a single goroutine with no timer.
+// conditions; cores 1..N-1 run one goroutine each. A core that keeps
+// finding nothing to do parks on its doorbell (coreLoop.idle), at most
+// parkBound at a time, so core 0 still checks the exits that often.
 func (d *DUT) ServeWire(ctx context.Context, engines []Engine,
 	idleExit time.Duration, maxPackets uint64) (WireServeStats, error) {
 	if len(engines) != len(d.Cores) {
@@ -141,7 +152,7 @@ func (d *DUT) ServeWire(ctx context.Context, engines []Engine,
 	// exporter no core touches the gate.
 	var gate sync.RWMutex
 	publish := d.Opts.Metrics != nil
-	var stop atomic.Bool
+	stop := make(chan struct{})
 	prog := make([]coreProgress, len(engines))
 	var wg sync.WaitGroup
 	for i := 1; i < len(engines); i++ {
@@ -150,7 +161,12 @@ func (d *DUT) ServeWire(ctx context.Context, engines []Engine,
 			defer wg.Done()
 			cl := d.newCoreLoop(engines, i)
 			p := &prog[i]
-			for !stop.Load() {
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
 				if publish {
 					gate.RLock()
 				}
@@ -164,7 +180,7 @@ func (d *DUT) ServeWire(ctx context.Context, engines []Engine,
 					p.packets.Add(uint64(moved))
 					p.lastWork.Store(int64(now))
 				} else {
-					runtime.Gosched()
+					cl.idle(stop)
 				}
 			}
 		}()
@@ -214,11 +230,10 @@ serve:
 			gate.Unlock()
 		}
 		if moved == 0 {
-			// An empty poll on a live wire should not spin a core flat out.
-			runtime.Gosched()
+			cl.idle(ctx.Done())
 		}
 	}
-	stop.Store(true)
+	close(stop)
 	wg.Wait()
 	// Cores are joined: the drain, the session's final ledger, and the
 	// last snapshot run single-threaded over quiescent state. The
@@ -250,23 +265,77 @@ type coreProgress struct {
 	_        [104]byte
 }
 
-// coreLoop is one core's serving state: its engine and its overload
-// observer, stepped on the wall clock.
+// idleSpins is how many consecutive empty rounds a core yields the P
+// before it parks: enough to ride out the gap between frames of a burst
+// without a sleep, short enough that an idle core soon stops running.
+const idleSpins = 32
+
+// parkBound caps one park. The doorbell carries the wake-up latency;
+// the bound only paces core 0's exit checks (budget, idle exit, metrics
+// publish). A variable so a test can raise it.
+var parkBound = time.Millisecond
+
+// coreLoop is one core's serving state: its engine, its overload
+// observer, stepped on the wall clock, and its idle state — the
+// doorbell its ports ring, a park timer reused across parks, and the
+// run of empty rounds so far.
 type coreLoop struct {
-	d   *DUT
-	ci  int
-	eng Engine
-	obs observer
+	d     *DUT
+	ci    int
+	eng   Engine
+	obs   observer
+	bell  chan struct{}
+	timer *time.Timer
+	empty int
 }
 
 func (d *DUT) newCoreLoop(engines []Engine, ci int) *coreLoop {
-	return &coreLoop{d: d, ci: ci, eng: engines[ci], obs: d.newObserver(ci)}
+	timer := time.NewTimer(parkBound)
+	timer.Stop()
+	return &coreLoop{d: d, ci: ci, eng: engines[ci], obs: d.newObserver(ci),
+		bell: d.bells[ci], timer: timer}
 }
 
 // step runs one scheduling round of the core at wall offset now.
 func (cl *coreLoop) step(now time.Duration) int {
 	cl.obs.step(cl.d, cl.eng, cl.ci, float64(now))
-	return cl.eng.Step(cl.d.Cores[cl.ci], float64(now))
+	moved := cl.eng.Step(cl.d.Cores[cl.ci], float64(now))
+	if moved > 0 {
+		cl.empty = 0
+	}
+	return moved
+}
+
+// idle follows a round that moved nothing. For the first idleSpins such
+// rounds in a row it only yields the P; after that it parks the core
+// until the doorbell rings, parkBound passes, or stop closes. It never
+// parks while a port holds received frames or the engine holds a TX
+// backlog: the next round has work. TX frames still in flight do not
+// count — the PMD reaps them on its next burst, whenever that comes.
+func (cl *coreLoop) idle(stop <-chan struct{}) {
+	if cl.empty++; cl.empty < idleSpins || cl.busy() {
+		runtime.Gosched()
+		return
+	}
+	cl.timer.Reset(parkBound)
+	select {
+	case <-cl.bell:
+	case <-cl.timer.C:
+	case <-stop:
+	}
+	cl.timer.Stop()
+}
+
+// busy reports work the next round must serve: frames pending on one of
+// the core's ports or packets behind a full TX ring.
+func (cl *coreLoop) busy() bool {
+	for _, port := range cl.d.PortsFor[cl.ci] {
+		if port.Dev.PendingCount() > 0 {
+			return true
+		}
+	}
+	tb, ok := cl.eng.(txBacklogger)
+	return ok && tb.TxBacklog() > 0
 }
 
 // drainWire steps the engines and reaps TX rings until nothing moves and
@@ -312,18 +381,30 @@ func ServeWireGraph(ctx context.Context, g *click.Graph, o Options,
 // (devsPerCore[c][i] is core c's Click PORT i).
 func ServeWireGraphPerCore(ctx context.Context, g *click.Graph, o Options,
 	devsPerCore [][]nic.Port, idleExit time.Duration, maxPackets uint64) (*DUT, WireServeStats, error) {
-	d, err := NewWireDUTPerCore(o, devsPerCore)
+	d, engines, err := NewWireGraphPerCore(g, o, devsPerCore)
 	if err != nil {
 		return nil, WireServeStats{}, err
 	}
+	st, err := d.ServeWire(ctx, engines, idleExit, maxPackets)
+	return d, st, err
+}
+
+// NewWireGraphPerCore assembles what ServeWireGraphPerCore serves — the
+// N-core wire DUT and one router engine per core — without serving, for
+// a caller that must start its traffic only once the DUT's rings are
+// posted and then call ServeWire itself.
+func NewWireGraphPerCore(g *click.Graph, o Options, devsPerCore [][]nic.Port) (*DUT, []Engine, error) {
+	d, err := NewWireDUTPerCore(o, devsPerCore)
+	if err != nil {
+		return nil, nil, err
+	}
 	routers, err := d.BuildRouters(g)
 	if err != nil {
-		return nil, WireServeStats{}, err
+		return nil, nil, err
 	}
 	engines := make([]Engine, len(routers))
 	for i, rt := range routers {
 		engines[i] = &clickEngine{rt: rt, core: d.Cores[i]}
 	}
-	st, err := d.ServeWire(ctx, engines, idleExit, maxPackets)
-	return d, st, err
+	return d, engines, nil
 }

@@ -22,6 +22,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"syscall"
 	"time"
@@ -70,23 +71,25 @@ func (c *Config) fill() {
 	}
 }
 
-// intRing is a fixed-capacity FIFO of slot indices. Fixed so the hot
-// path never grows a slice.
-type intRing struct {
-	buf  []int
+// ring is a fixed-capacity FIFO (slot indices, posted buffers). Fixed so
+// the hot path never grows a slice.
+type ring[T any] struct {
+	buf  []T
 	head int
 	n    int
 }
 
-func newIntRing(capacity int) intRing { return intRing{buf: make([]int, capacity)} }
+func newRing[T any](capacity int) ring[T] { return ring[T]{buf: make([]T, capacity)} }
 
-func (r *intRing) push(v int) {
+func (r *ring[T]) push(v T) {
 	r.buf[(r.head+r.n)%len(r.buf)] = v
 	r.n++
 }
 
-func (r *intRing) pop() int {
+func (r *ring[T]) pop() T {
 	v := r.buf[r.head]
+	var zero T
+	r.buf[r.head] = zero // drop a buffer reference the ring no longer holds
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
 	return v
@@ -112,9 +115,12 @@ type Port struct {
 	// filled; free holds the rest. posted queues driver buffers.
 	slots   [][]byte
 	slotLen []int
-	free    intRing
-	filled  intRing
-	posted  []*pktbuf.Packet
+	free    ring[int]
+	filled  ring[int]
+	posted  ring[*pktbuf.Packet]
+	// bell is the poller's doorbell (SetDoorbell), kicked when filled
+	// goes from empty to non-empty.
+	bell chan struct{}
 	// TX: a fixed ring of in-flight buffers awaiting wall-clock depart.
 	// txPending counts Enqueue calls that reserved a slot but are still
 	// inside the unlocked write; capacity checks use txN+txPending so a
@@ -143,8 +149,8 @@ const txMaxRetries = 3
 // txWriteBound caps how long one TX write may wait on a peer whose
 // socket buffer stays full before the frame is booked as a transient
 // drop, so a stalled peer never parks the serve loop for good. It sits
-// well above the runtime's ~10 ms network-poll interval under busy
-// spinning, so a merely slow reader never costs a frame. The deadline is
+// far above any scheduling delay a reader on a loaded host sees, so a
+// merely slow reader never costs a frame. The deadline is
 // re-armed only when less than half the bound remains, which keeps the
 // timer update off the per-frame path; after a write times out it stays
 // expired for half a bound, so a stalled peer costs one bound per window
@@ -176,9 +182,9 @@ func NewPort(cfg Config, rxConn, txConn net.Conn) *Port {
 		txConn:   txConn,
 		slots:    make([][]byte, cfg.RXRing),
 		slotLen:  make([]int, cfg.RXRing),
-		free:     newIntRing(cfg.RXRing),
-		filled:   newIntRing(cfg.RXRing),
-		posted:   make([]*pktbuf.Packet, 0, cfg.RXRing),
+		free:     newRing[int](cfg.RXRing),
+		filled:   newRing[int](cfg.RXRing),
+		posted:   newRing[*pktbuf.Packet](cfg.RXRing),
 		inflight: make([]txRec, cfg.TXRing),
 		done:     make(chan struct{}),
 	}
@@ -198,7 +204,11 @@ func NewPort(cfg Config, rxConn, txConn net.Conn) *Port {
 // under the lock, reads outside it (so Poll never waits on the kernel),
 // and files the result. With the ring full it still reads — into a
 // sacrificial slot — so the socket buffer cannot silently absorb the
-// overrun; the drop is counted where a NIC would count it.
+// overrun; the drop is counted where a NIC would count it. A frame that
+// lands in an empty ring rings the doorbell, and the reader then yields
+// once: the woken poller sits in this P's run-next slot, and a reader
+// that keeps finding queued datagrams would otherwise starve it until
+// the burst ends.
 func (p *Port) drainRX() {
 	defer close(p.done)
 	scratch := make([]byte, p.cfg.MTU)
@@ -221,6 +231,7 @@ func (p *Port) drainRX() {
 		}
 		n, err := conn.Read(buf)
 		p.mu.Lock()
+		kicked := false
 		switch {
 		case err != nil:
 			if slot >= 0 {
@@ -267,23 +278,48 @@ func (p *Port) drainRX() {
 			p.filled.push(slot)
 			p.rxStats.Delivered++
 			p.rxStats.Bytes += uint64(n)
+			kicked = p.kick()
 		}
 		consecErrs = 0
 		p.mu.Unlock()
+		if kicked {
+			runtime.Gosched()
+		}
 	}
+}
+
+// kick rings the doorbell, without blocking, when the frame just filed
+// is the ring's only one; it reports whether a token went out. Callers
+// hold p.mu.
+func (p *Port) kick() bool {
+	if p.filled.n != 1 || p.bell == nil {
+		return false
+	}
+	select {
+	case p.bell <- struct{}{}:
+		return true
+	default: // a token is already waiting
+		return false
+	}
+}
+
+// SetDoorbell implements nic.Port.
+func (p *Port) SetDoorbell(bell chan struct{}) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.bell = bell
 }
 
 // deliver files one received frame into a free RX slot, with the same
 // accounting the drain goroutine performs — the entry point a Fanout
 // reader uses for queue ports that share a single socket and so run no
 // reader of their own. The frame is copied; the caller keeps its buffer.
+// Like drainRX it rings the doorbell on an empty ring and then yields.
 func (p *Port) deliver(frame []byte) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return
-	}
+	kicked := false
 	switch {
+	case p.closed:
 	case len(frame) < nic.MinFrameSize:
 		p.rxStats.DropRunt++
 	case p.free.n == 0:
@@ -295,6 +331,11 @@ func (p *Port) deliver(frame []byte) {
 		p.filled.push(slot)
 		p.rxStats.Delivered++
 		p.rxStats.Bytes += uint64(n)
+		kicked = p.kick()
+	}
+	p.mu.Unlock()
+	if kicked {
+		runtime.Gosched()
 	}
 }
 
@@ -344,10 +385,10 @@ func (p *Port) Post(pkt *pktbuf.Packet) error {
 	// Unlike the simulated queue, pending frames hold ring *slots*, not
 	// posted buffers — a buffer can always be posted against a parked
 	// frame, so only the posted queue itself is bounded.
-	if len(p.posted) >= p.cfg.RXRing {
+	if p.posted.n >= p.cfg.RXRing {
 		return nic.ErrOverPosted
 	}
-	p.posted = append(p.posted, pkt)
+	p.posted.push(pkt)
 	return nil
 }
 
@@ -355,7 +396,7 @@ func (p *Port) Post(pkt *pktbuf.Packet) error {
 func (p *Port) PostedCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.posted)
+	return p.posted.n
 }
 
 // PendingCount reports frames sitting in the RX ring awaiting a poll.
@@ -386,11 +427,9 @@ func (p *Port) Poll(core *machine.Core, nowNS float64, max int,
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
-	for n < max && p.filled.n > 0 && len(p.posted) > 0 {
+	for n < max && p.filled.n > 0 && p.posted.n > 0 {
 		slot := p.filled.pop()
-		pkt := p.posted[0]
-		copy(p.posted, p.posted[1:])
-		p.posted = p.posted[:len(p.posted)-1]
+		pkt := p.posted.pop()
 		frame := p.slots[slot][:p.slotLen[slot]]
 		pkt.SetFrame(frame)
 		pkt.ArrivalNS = nowNS
@@ -541,7 +580,7 @@ func (p *Port) InflightCount() int {
 func (p *Port) HeldCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.posted) + p.txN
+	return p.posted.n + p.txN
 }
 
 // RXStats implements nic.Port.
