@@ -407,7 +407,6 @@ func runWire(p *core.Pipeline, base testbed.Options, rxAddr, txAddr, metricsAddr
 	}
 	o := pipelineOptions(p, base)
 	var devsPerCore [][]nic.Port
-	var fanout *wire.Fanout
 	if base.Cores > 1 {
 		// N run-to-completion cores behind one socket: a software-RSS
 		// fanout demuxes the RX stream by flow hash into per-core queues
@@ -415,7 +414,7 @@ func runWire(p *core.Pipeline, base testbed.Options, rxAddr, txAddr, metricsAddr
 		if rxConn == nil {
 			fatal(fmt.Errorf("-cores %d with -io wire needs -wire-rx (the fanout demuxes the RX stream)", base.Cores))
 		}
-		fanout = wire.NewFanout(wire.Config{Name: "wire0"}, base.Cores, rxConn, txConn)
+		fanout := wire.NewFanout(wire.Config{Name: "wire0"}, base.Cores, rxConn, txConn)
 		defer fanout.Close()
 		for c := 0; c < base.Cores; c++ {
 			devsPerCore = append(devsPerCore, []nic.Port{fanout.Queue(c)})
@@ -455,9 +454,6 @@ func runWire(p *core.Pipeline, base testbed.Options, rxAddr, txAddr, metricsAddr
 	}
 	res := d.WireResult()
 	testbed.WriteText(os.Stdout, res)
-	if fanout != nil {
-		fmt.Printf("fanout:         %d socket reopens\n", fanout.Reopens())
-	}
 	if err := d.Audit(); err != nil {
 		fatal(err)
 	}

@@ -31,7 +31,7 @@ func chaosRun(config string, o Options) (*Result, *DUT, error) {
 	}
 	engines := make([]Engine, len(routers))
 	for i, rt := range routers {
-		engines[i] = &clickEngine{rt: rt, core: d.Cores[i]}
+		engines[i] = &clickEngine{rt: rt}
 	}
 	res, err := d.Drive(engines)
 	return res, d, err

@@ -262,7 +262,7 @@ func TestConntrackDatapathZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &clickEngine{rt: routers[0], core: d.Cores[0]}
+	eng := &clickEngine{rt: routers[0]}
 	frames := churnFrames(2048)
 	for _, f := range frames[:1024] {
 		pumpOne(d, eng, f)

@@ -92,8 +92,10 @@ func TestFanoutNATPortsStable(t *testing.T) {
 	}
 	serveDone := make(chan served, 1)
 	go func() {
-		d, _, err := ServeWireGraphPerCore(ctx, g, Options{Model: click.XChange, Seed: 7},
-			devsPerCore, 500*time.Millisecond, 0)
+		d, engines, err := NewWireGraphPerCore(g, Options{Model: click.XChange, Seed: 7}, devsPerCore)
+		if err == nil {
+			_, err = d.ServeWire(ctx, engines, 500*time.Millisecond, 0)
+		}
 		serveDone <- served{d, err}
 	}()
 
@@ -250,8 +252,10 @@ func runFanoutSimOracle(t *testing.T, g *click.Graph, cores int) {
 	}
 	serveDone := make(chan served, 1)
 	go func() {
-		d, _, err := ServeWireGraphPerCore(ctx, g, Options{Model: click.XChange, Seed: 7},
-			devsPerCore, 300*time.Millisecond, 0)
+		d, engines, err := NewWireGraphPerCore(g, Options{Model: click.XChange, Seed: 7}, devsPerCore)
+		if err == nil {
+			_, err = d.ServeWire(ctx, engines, 300*time.Millisecond, 0)
+		}
 		serveDone <- served{d, err}
 	}()
 	// Sized past every expected frame, so the reader never blocks on a

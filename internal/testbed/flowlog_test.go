@@ -250,10 +250,13 @@ func TestWireFlowsExport(t *testing.T) {
 	}
 	serveDone := make(chan served, 1)
 	go func() {
-		d, _, err := ServeWireGraph(ctx, mustParse(t, nf.ConnTrackForwarder(32, 4096)),
+		d, engines, err := NewWireGraphPerCore(mustParse(t, nf.ConnTrackForwarder(32, 4096)),
 			Options{Model: click.Copying, Seed: 7, Telemetry: true,
 				Metrics: ms, FlowLog: flowlog.New(flowlog.Config{})},
-			[]nic.Port{dut}, 300*time.Millisecond, 0)
+			[][]nic.Port{{dut}})
+		if err == nil {
+			_, err = d.ServeWire(ctx, engines, 300*time.Millisecond, 0)
+		}
 		if err == nil {
 			err = d.Audit()
 		}
@@ -383,7 +386,7 @@ func TestSteadyStateZeroAllocsFlowLogged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &clickEngine{rt: routers[0], core: d.Cores[0]}
+	eng := &clickEngine{rt: routers[0]}
 	frames := churnFrames(2048)
 	for _, f := range frames[:1024] {
 		pumpOne(d, eng, f)

@@ -41,12 +41,9 @@ func (d *DUT) ledger(engines []Engine, nowNS float64, pre *stats.DropCounters,
 		drops.Merge(pre)
 		res.Offered = pre.Total()
 	}
-	for c := range d.PortsFor {
-		for id := 0; id < d.Opts.NICs; id++ {
-			port, ok := d.PortsFor[c][id]
-			if !ok {
-				continue
-			}
+	for _, ports := range d.PortsFor {
+		for id := 0; id < len(ports); id++ {
+			port := ports[id]
 			rxs, txs := port.Dev.RXStats(), port.Dev.TXStats()
 			res.Offered += rxs.Delivered + rxs.DropNoBuf + rxs.DropFull + rxs.DropRunt
 			res.TxWire += txs.Sent

@@ -90,10 +90,13 @@ func TestWireSurfacesAgree(t *testing.T) {
 	g := mustParse(t, nf.ConnTrackForwarder(32, 4096))
 	serveDone := make(chan served, 1)
 	go func() {
-		d, _, err := ServeWireGraph(ctx, g,
+		d, engines, err := NewWireGraphPerCore(g,
 			Options{Model: click.XChange, Seed: 7, Telemetry: true,
 				Metrics: ms, FlowLog: flowlog.New(flowlog.Config{})},
-			[]nic.Port{dut}, 300*time.Millisecond, 0)
+			[][]nic.Port{{dut}})
+		if err == nil {
+			_, err = d.ServeWire(ctx, engines, 300*time.Millisecond, 0)
+		}
 		serveDone <- served{d, err}
 	}()
 
@@ -223,9 +226,11 @@ func TestWireTxRingFullConservation(t *testing.T) {
 	}
 	serveDone := make(chan served, 1)
 	go func() {
-		d, _, err := ServeWireGraph(ctx, mustParse(t, nf.Mirror(0, 32)),
-			Options{Model: click.XChange, Seed: 7},
-			[]nic.Port{dut}, 300*time.Millisecond, 0)
+		d, engines, err := NewWireGraphPerCore(mustParse(t, nf.Mirror(0, 32)),
+			Options{Model: click.XChange, Seed: 7}, [][]nic.Port{{dut}})
+		if err == nil {
+			_, err = d.ServeWire(ctx, engines, 300*time.Millisecond, 0)
+		}
 		serveDone <- served{d, err}
 	}()
 

@@ -48,12 +48,9 @@ func (d *DUT) wireSnapshot(engines []Engine, led *Result) *trace.Snapshot {
 
 	// Port counters and queue depths, in (core, port id) order so the
 	// exposition text is deterministic.
-	for c := range d.PortsFor {
-		for id := 0; id < d.Opts.NICs; id++ {
-			port, ok := d.PortsFor[c][id]
-			if !ok {
-				continue
-			}
+	for _, ports := range d.PortsFor {
+		for id := 0; id < len(ports); id++ {
+			port := ports[id]
 			rxs := port.Dev.RXStats()
 			txs := port.Dev.TXStats()
 			pl := [][2]string{
@@ -97,14 +94,8 @@ func (d *DUT) wireSnapshot(engines []Engine, led *Result) *trace.Snapshot {
 			}
 		}
 	}
-	backlog := 0
-	for _, e := range engines {
-		if tb, ok := e.(txBacklogger); ok {
-			backlog += tb.TxBacklog()
-		}
-	}
 	add("packetmill_tx_backlog", "Packets queued behind full TX rings.",
-		"gauge", nil, float64(backlog))
+		"gauge", nil, float64(txBacklog(engines...)))
 	// Overload control plane, one series per core (families appear only
 	// when the control plane is armed).
 	for c, st := range led.Overload {

@@ -137,10 +137,13 @@ func TestWireMetricsScrape(t *testing.T) {
 	defer cancel()
 	serveDone := make(chan error, 1)
 	go func() {
-		d, _, err := ServeWireGraph(ctx, mustParse(t, nf.Mirror(0, 32)),
+		d, engines, err := NewWireGraphPerCore(mustParse(t, nf.Mirror(0, 32)),
 			Options{Model: click.Copying, Seed: 7, Telemetry: true,
 				Metrics: ms, Trace: rec},
-			[]nic.Port{dut}, 300*time.Millisecond, 0)
+			[][]nic.Port{{dut}})
+		if err == nil {
+			_, err = d.ServeWire(ctx, engines, 300*time.Millisecond, 0)
+		}
 		if err == nil {
 			err = d.Audit()
 		}

@@ -27,14 +27,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"packetmill/internal/cache"
 	"packetmill/internal/click"
-	"packetmill/internal/dpdk"
 	"packetmill/internal/machine"
-	"packetmill/internal/memsim"
 	"packetmill/internal/nic"
-	"packetmill/internal/telemetry"
-	"packetmill/internal/xchg"
 )
 
 // NewWireDUT assembles a single-core DUT whose PMD ports sit on the
@@ -52,9 +47,7 @@ func NewWireDUT(o Options, devs []nic.Port) (*DUT, error) {
 // of a wire.Fanout, or a dedicated socketpair per core. Every core gets
 // a private machine: the cores run as concurrent goroutines and the
 // simulated memory hierarchy is a single-threaded model, and a
-// run-to-completion pipeline shares nothing anyway. Every core also
-// gets one doorbell, registered on each of its devices, so a core with
-// several ports wakes on any of them.
+// run-to-completion pipeline shares nothing anyway.
 func NewWireDUTPerCore(o Options, devsPerCore [][]nic.Port) (*DUT, error) {
 	if len(devsPerCore) == 0 || len(devsPerCore[0]) == 0 {
 		return nil, fmt.Errorf("testbed: wire DUT needs at least one core with at least one device")
@@ -62,49 +55,14 @@ func NewWireDUTPerCore(o Options, devsPerCore [][]nic.Port) (*DUT, error) {
 	o.Cores = len(devsPerCore)
 	o.NICs = len(devsPerCore[0])
 	o = o.withDefaults()
-	memCfg := cache.DefaultSystemConfig()
-	if o.DDIOWays > 0 {
-		memCfg.DDIOWays = o.DDIOWays
-	}
-	d := &DUT{
-		Opts:     o,
-		Huge:     memsim.NewArena("hugepages", memsim.HugeBase, 1<<30),
-		Static:   memsim.NewArena("static", memsim.StaticBase, 512<<20),
-		Heap:     memsim.NewHeap(),
-		mempools: map[*dpdk.Port]*dpdk.Mempool{},
-		bindings: map[*dpdk.Port]xchg.Binding{},
-	}
+	machs := make([]*machine.Machine, o.Cores)
 	for c, devs := range devsPerCore {
 		if len(devs) != o.NICs {
 			return nil, fmt.Errorf("testbed: core %d has %d devices, core 0 has %d", c, len(devs), o.NICs)
 		}
-		mach := machine.New(memCfg, machine.DefaultCostModel())
-		d.Machs = append(d.Machs, mach)
-		core := mach.AddCore(o.FreqGHz)
-		d.Cores = append(d.Cores, core)
-		d.PortsFor = append(d.PortsFor, map[int]*dpdk.Port{})
-		bell := make(chan struct{}, 1)
-		d.bells = append(d.bells, bell)
-		// Tracing and the live exporter both need the span trackers; the
-		// report itself still requires Telemetry.
-		if o.Telemetry || o.Trace != nil || o.Metrics != nil {
-			d.Trackers = append(d.Trackers, telemetry.NewTracker(core))
-		} else {
-			d.Trackers = append(d.Trackers, nil)
-		}
-		for i, dev := range devs {
-			dev.SetDoorbell(bell)
-			port, err := d.buildPortOn(i, dev)
-			if err != nil {
-				return nil, err
-			}
-			d.PortsFor[c][i] = port
-		}
+		machs[c] = machine.New(memConfig(o), machine.DefaultCostModel())
 	}
-	d.Mach = d.Machs[0]
-	d.buildControllers()
-	d.attachTrace()
-	return d, nil
+	return assemble(o, machs, func(*DUT) [][]nic.Port { return devsPerCore })
 }
 
 // WireServeStats summarizes a wire-serving session.
@@ -334,8 +292,7 @@ func (cl *coreLoop) busy() bool {
 			return true
 		}
 	}
-	tb, ok := cl.eng.(txBacklogger)
-	return ok && tb.TxBacklog() > 0
+	return txBacklog(cl.eng) > 0
 }
 
 // drainWire steps the engines and reaps TX rings until nothing moves and
@@ -364,35 +321,10 @@ func (d *DUT) drainWire(engines []Engine, start time.Time) {
 	}
 }
 
-// ServeWireGraph builds routers for g on a single-core wire DUT and
-// serves: the one-call path cmd/packetmill's -io wire mode uses. The DUT
-// is returned so callers can audit buffers and read telemetry after the
-// session.
-func ServeWireGraph(ctx context.Context, g *click.Graph, o Options,
-	devs []nic.Port, idleExit time.Duration, maxPackets uint64) (*DUT, WireServeStats, error) {
-	if len(devs) == 0 {
-		return nil, WireServeStats{}, fmt.Errorf("testbed: wire DUT needs at least one device")
-	}
-	return ServeWireGraphPerCore(ctx, g, o, [][]nic.Port{devs}, idleExit, maxPackets)
-}
-
-// ServeWireGraphPerCore is ServeWireGraph for N run-to-completion cores:
-// one router replica per core, each driving that core's own devices
-// (devsPerCore[c][i] is core c's Click PORT i).
-func ServeWireGraphPerCore(ctx context.Context, g *click.Graph, o Options,
-	devsPerCore [][]nic.Port, idleExit time.Duration, maxPackets uint64) (*DUT, WireServeStats, error) {
-	d, engines, err := NewWireGraphPerCore(g, o, devsPerCore)
-	if err != nil {
-		return nil, WireServeStats{}, err
-	}
-	st, err := d.ServeWire(ctx, engines, idleExit, maxPackets)
-	return d, st, err
-}
-
-// NewWireGraphPerCore assembles what ServeWireGraphPerCore serves — the
-// N-core wire DUT and one router engine per core — without serving, for
-// a caller that must start its traffic only once the DUT's rings are
-// posted and then call ServeWire itself.
+// NewWireGraphPerCore assembles the N-core wire DUT and one replica of
+// g's router per core (devsPerCore[c][i] is core c's Click PORT i),
+// ready for ServeWire. The DUT's RX rings are posted on return, so a
+// caller can start its traffic first and then serve.
 func NewWireGraphPerCore(g *click.Graph, o Options, devsPerCore [][]nic.Port) (*DUT, []Engine, error) {
 	d, err := NewWireDUTPerCore(o, devsPerCore)
 	if err != nil {
@@ -402,9 +334,5 @@ func NewWireGraphPerCore(g *click.Graph, o Options, devsPerCore [][]nic.Port) (*
 	if err != nil {
 		return nil, nil, err
 	}
-	engines := make([]Engine, len(routers))
-	for i, rt := range routers {
-		engines[i] = &clickEngine{rt: rt, core: d.Cores[i]}
-	}
-	return d, engines, nil
+	return d, clickEngines(routers), nil
 }

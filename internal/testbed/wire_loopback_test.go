@@ -142,9 +142,11 @@ func runWireLoopback(t *testing.T, model click.MetadataModel) {
 	defer cancel()
 	serveDone := make(chan error, 1)
 	go func() {
-		d, _, err := ServeWireGraph(ctx, plan.Graph,
-			Options{Model: model, Seed: 7}, []nic.Port{dut},
-			300*time.Millisecond, 0)
+		d, engines, err := NewWireGraphPerCore(plan.Graph,
+			Options{Model: model, Seed: 7}, [][]nic.Port{{dut}})
+		if err == nil {
+			_, err = d.ServeWire(ctx, engines, 300*time.Millisecond, 0)
+		}
 		if err == nil {
 			err = d.Audit()
 		}
@@ -292,9 +294,12 @@ func TestWireServesFramesQueuedBeforeSetup(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	d, _, err := ServeWireGraph(ctx, mustParse(t, nf.Mirror(0, 32)),
-		Options{Model: click.XChange, Seed: 7}, []nic.Port{dut}, 200*time.Millisecond, 0)
+	d, engines, err := NewWireGraphPerCore(mustParse(t, nf.Mirror(0, 32)),
+		Options{Model: click.XChange, Seed: 7}, [][]nic.Port{{dut}})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ServeWire(ctx, engines, 200*time.Millisecond, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Audit(); err != nil {

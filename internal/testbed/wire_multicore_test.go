@@ -48,7 +48,7 @@ func buildWireMirrorRig(t testing.TB, cores int, o Options) (*DUT, []*clickEngin
 	}
 	engs := make([]*clickEngine, cores)
 	for i, rt := range routers {
-		engs[i] = &clickEngine{rt: rt, core: d.Cores[i]}
+		engs[i] = &clickEngine{rt: rt}
 	}
 	return d, engs, gens
 }

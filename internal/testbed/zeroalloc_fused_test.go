@@ -51,7 +51,7 @@ func TestSteadyStateZeroAllocsFusedRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &clickEngine{rt: routers[0], core: d.Cores[0]}
+	eng := &clickEngine{rt: routers[0]}
 
 	frames := campusFrames(512)
 	for _, f := range frames[:256] {

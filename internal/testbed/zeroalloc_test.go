@@ -54,7 +54,7 @@ func mirrorRigOpts(t testing.TB, o Options) (*DUT, *clickEngine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, &clickEngine{rt: routers[0], core: d.Cores[0]}
+	return d, &clickEngine{rt: routers[0]}
 }
 
 // pumpOne delivers one frame and steps the engine until the pipeline

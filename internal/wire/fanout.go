@@ -19,7 +19,6 @@ package wire
 import (
 	"net"
 	"sync"
-	"time"
 
 	"packetmill/internal/nic"
 )
@@ -29,14 +28,13 @@ import (
 // queue ports must not be closed individually.
 type Fanout struct {
 	cfg    Config
+	rxConn net.Conn
 	txConn net.Conn
 	queues []*Port
 	done   chan struct{}
 
-	mu      sync.Mutex // guards rxConn (redial swaps it) and closed
-	rxConn  net.Conn
-	closed  bool
-	reopens uint64
+	mu     sync.Mutex // guards closed
+	closed bool
 }
 
 // NewFanout builds n queue ports demuxed from rxConn and starts the
@@ -57,7 +55,6 @@ func NewFanout(cfg Config, n int, rxConn, txConn net.Conn) *Fanout {
 	for q := 0; q < n; q++ {
 		qcfg := cfg
 		qcfg.Queue = q
-		qcfg.Redial = nil // redial belongs to the shared reader, not a queue
 		f.queues = append(f.queues, NewPort(qcfg, nil, txConn))
 	}
 	if rxConn != nil {
@@ -74,23 +71,15 @@ func (f *Fanout) Queue(i int) *Port { return f.queues[i] }
 // NumQueues reports the fanout width.
 func (f *Fanout) NumQueues() int { return len(f.queues) }
 
-// Reopens reports how many times the shared RX socket was redialed.
-func (f *Fanout) Reopens() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.reopens
-}
-
 // Close stops the reader, closes the shared sockets, and closes every
 // queue port.
 func (f *Fanout) Close() error {
 	f.mu.Lock()
 	f.closed = true
-	rx := f.rxConn
 	f.mu.Unlock()
 	var err error
-	if rx != nil {
-		err = rx.Close()
+	if f.rxConn != nil {
+		err = f.rxConn.Close()
 	}
 	<-f.done
 	for i, q := range f.queues {
@@ -109,14 +98,7 @@ func (f *Fanout) run() {
 	buf := make([]byte, f.cfg.MTU)
 	consecErrs := 0
 	for {
-		f.mu.Lock()
-		conn := f.rxConn
-		closed := f.closed
-		f.mu.Unlock()
-		if closed {
-			return
-		}
-		n, err := conn.Read(buf)
+		n, err := f.rxConn.Read(buf)
 		if err != nil {
 			f.mu.Lock()
 			closed := f.closed
@@ -124,30 +106,8 @@ func (f *Fanout) run() {
 			if closed {
 				return
 			}
-			// Same linear-ramp backoff and redial escalation as a Port's
-			// own drain goroutine (see Port.drainRX).
 			consecErrs++
-			d := time.Duration(consecErrs) * 100 * time.Microsecond
-			if d > 10*time.Millisecond {
-				d = 10 * time.Millisecond
-			}
-			time.Sleep(d)
-			if f.cfg.Redial != nil && consecErrs >= 3 {
-				if nc, rerr := f.cfg.Redial(); rerr == nil {
-					f.mu.Lock()
-					if f.closed {
-						f.mu.Unlock()
-						nc.Close()
-						return
-					}
-					old := f.rxConn
-					f.rxConn = nc
-					f.reopens++
-					f.mu.Unlock()
-					old.Close()
-					consecErrs = 0
-				}
-			}
+			readBackoff(consecErrs)
 			continue
 		}
 		consecErrs = 0

@@ -47,10 +47,6 @@ type Config struct {
 	MTU int
 	// RXRing/TXRing bound the descriptor rings (0 means 256).
 	RXRing, TXRing int
-	// Redial, when set, reopens the RX socket after repeated read
-	// errors: the old conn is closed and the returned one takes its
-	// place — the self-healing path for a peer that restarted.
-	Redial func() (net.Conn, error)
 }
 
 func (c *Config) fill() {
@@ -136,7 +132,6 @@ type Port struct {
 
 	rxStats nic.RXQueueStats
 	txStats nic.TXQueueStats
-	reopens uint64
 
 	closed bool
 	done   chan struct{}
@@ -220,7 +215,6 @@ func (p *Port) drainRX() {
 			slot = p.free.pop()
 		}
 		closed := p.closed
-		conn := p.rxConn // snapshot: Redial may swap the field under the lock
 		p.mu.Unlock()
 		if closed {
 			return
@@ -229,7 +223,7 @@ func (p *Port) drainRX() {
 		if slot >= 0 {
 			buf = p.slots[slot]
 		}
-		n, err := conn.Read(buf)
+		n, err := p.rxConn.Read(buf)
 		p.mu.Lock()
 		kicked := false
 		switch {
@@ -242,31 +236,8 @@ func (p *Port) drainRX() {
 			if closed {
 				return
 			}
-			// Back off while the socket misbehaves (linear ramp, capped)
-			// so a dead peer doesn't spin this goroutine flat out, then
-			// escalate to a reopen once the errors look persistent.
 			consecErrs++
-			d := time.Duration(consecErrs) * 100 * time.Microsecond
-			if d > 10*time.Millisecond {
-				d = 10 * time.Millisecond
-			}
-			time.Sleep(d)
-			if p.cfg.Redial != nil && consecErrs >= 3 {
-				if nc, rerr := p.cfg.Redial(); rerr == nil {
-					p.mu.Lock()
-					if p.closed {
-						p.mu.Unlock()
-						nc.Close()
-						return
-					}
-					old := p.rxConn
-					p.rxConn = nc
-					p.reopens++
-					p.mu.Unlock()
-					old.Close()
-					consecErrs = 0
-				}
-			}
+			readBackoff(consecErrs)
 			continue
 		case slot < 0:
 			p.rxStats.DropFull++
@@ -286,6 +257,14 @@ func (p *Port) drainRX() {
 			runtime.Gosched()
 		}
 	}
+}
+
+// readBackoff sleeps after the n-th read error in a row on a receive
+// socket — a linear ramp, capped — so a reader whose peer misbehaves or
+// is gone does not spin flat out. Both a Port's drain goroutine and a
+// Fanout's shared reader call it.
+func readBackoff(n int) {
+	time.Sleep(min(time.Duration(n)*100*time.Microsecond, 10*time.Millisecond))
 }
 
 // kick rings the doorbell, without blocking, when the frame just filed
@@ -343,27 +322,18 @@ func (p *Port) deliver(frame []byte) {
 func (p *Port) Close() error {
 	p.mu.Lock()
 	p.closed = true
-	rx, tx := p.rxConn, p.txConn
 	p.mu.Unlock()
 	var err error
-	if rx != nil {
-		err = rx.Close()
+	if p.rxConn != nil {
+		err = p.rxConn.Close()
 	}
-	if tx != nil {
-		if e := tx.Close(); err == nil {
+	if p.txConn != nil {
+		if e := p.txConn.Close(); err == nil {
 			err = e
 		}
 	}
 	<-p.done
 	return err
-}
-
-// Reopens reports how many times the RX socket was redialed after
-// persistent read errors.
-func (p *Port) Reopens() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.reopens
 }
 
 // PortName implements nic.Port.
