@@ -322,15 +322,15 @@ func TestFaultedRunMatchesCleanReplay(t *testing.T) {
 // and checks the watchdog converts the livelock into a *StallError with
 // a diagnostic snapshot instead of spinning forever.
 func TestWatchdogTripsOnWedgedPipeline(t *testing.T) {
+	lowerSimStallBound(t, 1e6) // 1 simulated ms
 	_, _, err := chaosRun(nf.Mirror(0, 32), Options{
-		Model:      click.Copying,
-		Packets:    400,
-		FixedSize:  64,
-		RateGbps:   100,
-		NICConfig:  smallRings(),
-		Faults:     mustSched(t, "slowrx factor=1000000"),
-		WatchdogNS: 1e6, // 1 simulated ms
-		Seed:       3,
+		Model:     click.Copying,
+		Packets:   400,
+		FixedSize: 64,
+		RateGbps:  100,
+		NICConfig: smallRings(),
+		Faults:    mustSched(t, "slowrx factor=1000000"),
+		Seed:      3,
 	})
 	var stall *StallError
 	if !errors.As(err, &stall) {

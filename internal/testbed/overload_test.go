@@ -250,16 +250,16 @@ input -> Queue(CAPACITY 128) -> Unqueue(BURST 4) -> EtherMirror -> output;
 // overload-restart, backpressure is released, the health machines land
 // in recovering, and the run completes with conservation intact.
 func TestWatchdogDrainRestartSelfHeals(t *testing.T) {
+	lowerSimStallBound(t, 1e6) // 1 simulated ms, well inside the 3 ms wedge
 	res, d, err := chaosRun(nf.Mirror(0, 32), Options{
-		Model:      click.Copying,
-		Packets:    400,
-		FixedSize:  64,
-		RateGbps:   100,
-		NICConfig:  smallRings(),
-		Faults:     mustSched(t, "slowrx at=0 factor=1000000 for=3ms"),
-		WatchdogNS: 1e6, // 1 simulated ms, well inside the 3 ms wedge
-		Overload:   &overload.Config{Policy: overload.PolicyTailDrop},
-		Seed:       3,
+		Model:     click.Copying,
+		Packets:   400,
+		FixedSize: 64,
+		RateGbps:  100,
+		NICConfig: smallRings(),
+		Faults:    mustSched(t, "slowrx at=0 factor=1000000 for=3ms"),
+		Overload:  &overload.Config{Policy: overload.PolicyTailDrop},
+		Seed:      3,
 	})
 	if err != nil {
 		t.Fatalf("self-healing run failed: %v", err)
@@ -271,6 +271,14 @@ func TestWatchdogDrainRestartSelfHeals(t *testing.T) {
 	if res.DropsByReason.Get(stats.DropOverloadRestart) == 0 {
 		t.Fatal("drain-restart flushed nothing into the overload-restart reason")
 	}
+}
+
+// lowerSimStallBound sets the simulated driver's stall bound to ns for
+// the rest of the test.
+func lowerSimStallBound(t *testing.T, ns float64) {
+	saved := simStallBoundNS
+	simStallBoundNS = ns
+	t.Cleanup(func() { simStallBoundNS = saved })
 }
 
 // inertEngine never polls its queues — the one wedge a drain-and-restart
@@ -286,15 +294,15 @@ func (inertEngine) Step(*machine.Core, float64) int { return 0 }
 // stays pending forever, the restart drains nothing, and the second
 // consecutive trip fails the run.
 func TestWatchdogSecondTripStillFails(t *testing.T) {
+	lowerSimStallBound(t, 1e6)
 	_, err := RunEngines(Options{
-		Model:      click.Copying,
-		Packets:    50,
-		FixedSize:  64,
-		RateGbps:   100,
-		NICConfig:  smallRings(),
-		WatchdogNS: 1e6,
-		Overload:   &overload.Config{Policy: overload.PolicyTailDrop},
-		Seed:       3,
+		Model:     click.Copying,
+		Packets:   50,
+		FixedSize: 64,
+		RateGbps:  100,
+		NICConfig: smallRings(),
+		Overload:  &overload.Config{Policy: overload.PolicyTailDrop},
+		Seed:      3,
 	}, func(d *DUT, core int) (Engine, error) {
 		return inertEngine{}, nil
 	})
